@@ -9,7 +9,6 @@ independent verification oracle for the reconstruction.
 """
 
 from . import draw, treeio
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .decay import (
     CurveSample,
     DecayParams,
@@ -83,7 +82,6 @@ __all__ = [
     "InputFormatError",
     "IsolectError",
     "JoinStep",
-    "KERNEL_BACKEND",
     "Leaf",
     "PairFit",
     "RecoveryReport",

@@ -1,8 +1,7 @@
-"""Pure-numpy implementations of the hot kernels.
+"""Numpy kernels of the simulator and the cognacy counts.
 
-Bit-for-bit interchangeable with the compiled versions in ``_ckernels``:
-given identical inputs both backends return identical arrays, so results
-never depend on which backend got selected at import time.
+``evolve_slots`` steps every slot of the replacement process down one tree
+segment; ``pair_shared_counts`` counts equal classes for each language pair.
 """
 
 import numpy as np

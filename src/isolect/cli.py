@@ -192,12 +192,12 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _clade_depths(tree: Dendrogram) -> dict:
+def _clade_shapes(tree: Dendrogram) -> dict:
+    """Map each chain node's clade to the chain's (depth, width)."""
     clades = tree.clades()
-    nodes = {n.id: n for n in tree.chain_nodes()}
     return {
-        clades[node_id]: max(endpoint_depths(node))
-        for node_id, node in nodes.items()
+        clades[node.id]: (max(endpoint_depths(node)), node.width)
+        for node in tree.chain_nodes()
     }
 
 
@@ -253,21 +253,16 @@ def cmd_compare_borrowings(args) -> int:
     )
     lines.append("")
     lines.append("matched clades (depth = vertical position of the chain):")
-    depths_all = _clade_depths(tree_all)
-    widths_all = {
-        tree_all.clades()[n.id]: n.width for n in tree_all.chain_nodes()
-    }
-    depths_excl = _clade_depths(tree_excl)
-    widths_excl = {
-        tree_excl.clades()[n.id]: n.width for n in tree_excl.chain_nodes()
-    }
-    for clade in sorted(depths_all, key=lambda c: sorted(c)):
+    shapes_all = _clade_shapes(tree_all)
+    shapes_excl = _clade_shapes(tree_excl)
+    for clade in sorted(shapes_all, key=lambda c: sorted(c)):
         name = "{" + ", ".join(sorted(clade)) + "}"
-        if clade in depths_excl:
+        if clade in shapes_excl:
+            depth_all, width_all = shapes_all[clade]
+            depth_excl, width_excl = shapes_excl[clade]
             lines.append(
-                f"  {name}: depth {depths_all[clade]:.3f} -> "
-                f"{depths_excl[clade]:.3f}, width {widths_all[clade]:.3f} -> "
-                f"{widths_excl[clade]:.3f}"
+                f"  {name}: depth {depth_all:.3f} -> {depth_excl:.3f}, "
+                f"width {width_all:.3f} -> {width_excl:.3f}"
             )
         else:
             lines.append(f"  {name}: not recovered after exclusion")

@@ -117,21 +117,7 @@ class Dendrogram:
 
     def leaves(self) -> tuple:
         """Leaf labels in left-to-right drawing order."""
-        out = []
-
-        def walk(node):
-            if isinstance(node, Leaf):
-                out.append(node.label)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        if isinstance(self.root, RootLink):
-            walk(self.root.left)
-            walk(self.root.right)
-        else:
-            walk(self.root)
-        return tuple(out)
+        return tuple(n.label for n in _preorder(self.root) if isinstance(n, Leaf))
 
     @property
     def k(self) -> int:
@@ -139,61 +125,45 @@ class Dendrogram:
 
     def chain_nodes(self) -> tuple:
         """All chain nodes in pre-order (left subtree first)."""
-        out = []
-
-        def walk(node):
-            if isinstance(node, ChainNode):
-                out.append(node)
-                walk(node.left)
-                walk(node.right)
-
-        if isinstance(self.root, RootLink):
-            walk(self.root.left)
-            walk(self.root.right)
-        else:
-            walk(self.root)
-        return tuple(out)
+        return tuple(n for n in _preorder(self.root) if isinstance(n, ChainNode))
 
     def clades(self) -> dict:
         """Map each chain node id to the frozenset of leaf labels below it."""
-        out = {}
-
-        def walk(node):
+        nodes = tuple(_preorder(self.root))
+        below = {}
+        for node in reversed(nodes):
             if isinstance(node, Leaf):
-                return frozenset((node.label,))
-            clade = walk(node.left) | walk(node.right)
-            out[node.id] = clade
-            return clade
-
-        if isinstance(self.root, RootLink):
-            walk(self.root.left)
-            walk(self.root.right)
-        else:
-            walk(self.root)
-        return out
+                below[id(node)] = frozenset((node.label,))
+            else:
+                below[id(node)] = below[id(node.left)] | below[id(node.right)]
+        return {n.id: below[id(n)] for n in nodes if isinstance(n, ChainNode)}
 
     def topology_signature(self) -> frozenset:
         """Hashable summary of the branching structure, lengths ignored."""
-        parts = set(self.clades().values())
+        clades = self.clades()
+        parts = set(clades.values())
         if isinstance(self.root, RootLink):
-
-            def side(node):
-                if isinstance(node, Leaf):
-                    return frozenset((node.label,))
-                leaves = []
-
-                def walk(n):
-                    if isinstance(n, Leaf):
-                        leaves.append(n.label)
-                    else:
-                        walk(n.left)
-                        walk(n.right)
-
-                walk(node)
-                return frozenset(leaves)
-
-            parts.add(frozenset((side(self.root.left), side(self.root.right))))
+            sides = (self.root.left, self.root.right)
+            parts.add(
+                frozenset(
+                    frozenset((n.label,)) if isinstance(n, Leaf) else clades[n.id] for n in sides
+                )
+            )
         return frozenset(parts)
+
+
+def _preorder(root):
+    """Every node below ``root`` in pre-order, left subtree first.
+
+    A root link is not a node itself; its left side comes first, then its
+    right side.
+    """
+    stack = [root.right, root.left] if isinstance(root, RootLink) else [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, ChainNode):
+            stack += (node.right, node.left)
 
 
 def attach_depth(node: Node) -> float:
@@ -213,42 +183,92 @@ def endpoint_depths(node: ChainNode) -> tuple:
     )
 
 
-def _collect(node: Node):
-    """Distances of every leaf below ``node`` to its attach endpoint.
+def _paths(d: Dendrogram):
+    """The free lengths of ``d`` and the leaf-to-leaf paths through them.
 
-    Returns (dist_to_attach, pairs) where pairs already contains every
-    leaf pair resolved inside this subtree. A chain adds its width only for
-    leaves hanging off the endpoint opposite the one being left through.
+    Returns ``(values, paths)``. ``values`` is the free-length vector: for
+    each chain node in pre-order (``chain_nodes`` order) its left edge, right
+    edge and width, then the root-link length if there is one. ``paths`` maps
+    each frozenset leaf pair ``{a, b}`` to ``(up_a, meet, up_b)``: the indices
+    of the lengths from one leaf up to where the two paths meet, leaf side
+    first, the index of the width or root link crossed there, and the same
+    for the other leaf. A path crosses each divergence line once; it crosses
+    a chain's width only when it enters by one endpoint and leaves by the
+    other, that is at the chain where it meets or on the way up from the
+    endpoint opposite the attach side.
     """
-    if isinstance(node, Leaf):
-        return {node.label: 0.0}, {}
-    dl, pl = _collect(node.left)
-    dr, pr = _collect(node.right)
-    dl = {x: v + node.left_edge for x, v in dl.items()}
-    dr = {x: v + node.right_edge for x, v in dr.items()}
-    pairs = {**pl, **pr}
-    for x, vx in dl.items():
-        for y, vy in dr.items():
-            pairs[frozenset((x, y))] = vx + node.width + vy
-    if node.attach_side == "left":
-        datt = {**dl, **{x: v + node.width for x, v in dr.items()}}
+    values = []
+    paths = {}
+
+    def meet(up_a, index, up_b):
+        for a, ia in up_a.items():
+            for b, ib in up_b.items():
+                paths[frozenset((a, b))] = (ia, index, ib)
+
+    def up(node):
+        """Indices from each leaf below ``node`` up to its attach endpoint."""
+        if isinstance(node, Leaf):
+            return {node.label: ()}
+        base = len(values)
+        values.extend((node.left_edge, node.right_edge, node.width))
+        left = {x: ix + (base,) for x, ix in up(node.left).items()}
+        right = {x: ix + (base + 1,) for x, ix in up(node.right).items()}
+        meet(left, base + 2, right)
+        if node.attach_side == "left":
+            right = {x: ix + (base + 2,) for x, ix in right.items()}
+        else:
+            left = {x: ix + (base + 2,) for x, ix in left.items()}
+        return {**left, **right}
+
+    if isinstance(d.root, RootLink):
+        left, right = up(d.root.left), up(d.root.right)
+        values.append(d.root.length)
+        meet(left, len(values) - 1, right)
     else:
-        datt = {**{x: v + node.width for x, v in dl.items()}, **dr}
-    return datt, pairs
+        up(d.root)
+    return np.array(values), paths
+
+
+def _with_lengths(d: Dendrogram, values) -> Dendrogram:
+    """``d`` with its free lengths replaced by ``values``, laid out as in ``_paths``."""
+    lengths = iter(values)
+
+    def put(node):
+        if isinstance(node, Leaf):
+            return node
+        return replace(
+            node,
+            left_edge=next(lengths),
+            right_edge=next(lengths),
+            width=next(lengths),
+            left=put(node.left),
+            right=put(node.right),
+        )
+
+    if isinstance(d.root, RootLink):
+        return Dendrogram(
+            replace(d.root, left=put(d.root.left), right=put(d.root.right), length=next(lengths))
+        )
+    return Dendrogram(put(d.root))
 
 
 def leaf_distances(d: Dendrogram) -> dict:
     """All pairwise leaf-to-leaf path distances, keyed by frozenset pairs."""
-    if isinstance(d.root, RootLink):
-        dl, pl = _collect(d.root.left)
-        dr, pr = _collect(d.root.right)
-        pairs = {**pl, **pr}
-        for x, vx in dl.items():
-            for y, vy in dr.items():
-                pairs[frozenset((x, y))] = vx + d.root.length + vy
-        return pairs
-    _, pairs = _collect(d.root)
-    return pairs
+    values, paths = _paths(d)
+    values = values.tolist()
+
+    # each side is summed from its leaf up before the two are joined, which
+    # fixes the rounding of every distance independently of the index order
+    def climb(indices):
+        total = 0.0
+        for i in indices:
+            total += values[i]
+        return total
+
+    return {
+        pair: climb(up_a) + values[meet] + climb(up_b)
+        for pair, (up_a, meet, up_b) in paths.items()
+    }
 
 
 def path_distance(d: Dendrogram, leaf_a: str, leaf_b: str) -> float:

@@ -28,12 +28,20 @@ least-squares adjustment.
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
-from .dendrogram import ChainNode, Dendrogram, Leaf, RootLink, root_variants
+from .dendrogram import (
+    ChainNode,
+    Dendrogram,
+    Leaf,
+    RootLink,
+    _paths,
+    _with_lengths,
+    root_variants,
+)
 from .errors import DomainError
 from .lexstat import CoincidenceMatrix, distance_matrix
 
@@ -283,124 +291,6 @@ def build_dendrogram(m: CoincidenceMatrix) -> tuple:
     return tree, tuple(steps)
 
 
-def _parameters(d: Dendrogram):
-    """Free lengths of the tree in a stable order, with their setters.
-
-    Returns (values, rebuild) where ``rebuild(new_values)`` produces a new
-    dendrogram with the lengths replaced, topology and orientations fixed.
-    """
-    values = []
-
-    def collect(node):
-        if isinstance(node, Leaf):
-            return
-        values.append(node.left_edge)
-        values.append(node.right_edge)
-        values.append(node.width)
-        collect(node.left)
-        collect(node.right)
-
-    if isinstance(d.root, RootLink):
-        collect(d.root.left)
-        collect(d.root.right)
-        values.append(d.root.length)
-    else:
-        collect(d.root)
-
-    def rebuild(new_values):
-        new_values = list(new_values)
-        pos = 0
-
-        def apply(node):
-            nonlocal pos
-            if isinstance(node, Leaf):
-                return node
-            left_edge = new_values[pos]
-            right_edge = new_values[pos + 1]
-            width = new_values[pos + 2]
-            pos += 3
-            return replace(
-                node,
-                left_edge=left_edge,
-                right_edge=right_edge,
-                width=width,
-                left=apply(node.left),
-                right=apply(node.right),
-            )
-
-        if isinstance(d.root, RootLink):
-            left = apply(d.root.left)
-            right = apply(d.root.right)
-            return Dendrogram(replace(d.root, left=left, right=right, length=new_values[-1]))
-        return Dendrogram(apply(d.root))
-
-    return np.array(values), rebuild
-
-
-def _design_matrix(d: Dendrogram, measured: CoincidenceMatrix):
-    """0/1 matrix mapping free lengths to pairwise path distances.
-
-    The parameter layout must match ``_parameters``: three slots per chain
-    node in pre-order (left edge, right edge, width), root length last.
-    """
-    order = []
-
-    def layout(node):
-        if isinstance(node, Leaf):
-            return
-        order.append(node.id)
-        layout(node.left)
-        layout(node.right)
-
-    if isinstance(d.root, RootLink):
-        layout(d.root.left)
-        layout(d.root.right)
-    else:
-        layout(d.root)
-    offsets = {node_id: 3 * i for i, node_id in enumerate(order)}
-    n_params = 3 * len(order) + (1 if isinstance(d.root, RootLink) else 0)
-    root_index = n_params - 1 if isinstance(d.root, RootLink) else None
-
-    def collect(node):
-        """Per-leaf parameter index lists to the attach endpoint, plus pairs."""
-        if isinstance(node, Leaf):
-            return {node.label: ()}, {}
-        base = offsets[node.id]
-        dl, pl = collect(node.left)
-        dr, pr = collect(node.right)
-        dl = {x: ix + (base,) for x, ix in dl.items()}
-        dr = {x: ix + (base + 1,) for x, ix in dr.items()}
-        pairs = {**pl, **pr}
-        for x, ix in dl.items():
-            for y, iy in dr.items():
-                pairs[frozenset((x, y))] = ix + (base + 2,) + iy
-        if node.attach_side == "left":
-            datt = {**dl, **{x: ix + (base + 2,) for x, ix in dr.items()}}
-        else:
-            datt = {**{x: ix + (base + 2,) for x, ix in dl.items()}, **dr}
-        return datt, pairs
-
-    if isinstance(d.root, RootLink):
-        dl, pl = collect(d.root.left)
-        dr, pr = collect(d.root.right)
-        pairs = {**pl, **pr}
-        for x, ix in dl.items():
-            for y, iy in dr.items():
-                pairs[frozenset((x, y))] = ix + (root_index,) + iy
-    else:
-        _, pairs = collect(d.root)
-
-    rows = []
-    rhs = []
-    for a, b, c in measured.pairs():
-        row = np.zeros(n_params)
-        for idx in pairs[frozenset((a, b))]:
-            row[idx] += 1.0
-        rows.append(row)
-        rhs.append(100.0 * math.log(100.0 / c))
-    return np.array(rows), np.array(rhs)
-
-
 def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendrogram:
     """Spread measurement contradictions over all free lengths.
 
@@ -414,19 +304,21 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     if tree_labels != matrix_labels:
         diff = sorted(tree_labels.symmetric_difference(matrix_labels))
         raise DomainError(f"tree and matrix label sets differ: {diff}")
-    x0, rebuild = _parameters(d)
+    x0, paths = _paths(d)
     if x0.size == 0:
         return d
-    design, rhs = _design_matrix(d, measured)
+    rows, cols, rhs = [], [], []
+    for row, (a, b, c) in enumerate(measured.pairs()):
+        up_a, meet, up_b = paths[frozenset((a, b))]
+        crossed = up_a + (meet,) + up_b
+        rows += [row] * len(crossed)
+        cols += crossed
+        rhs.append(100.0 * math.log(100.0 / c))
+    design = np.zeros((len(rhs), x0.size))
+    design[rows, cols] = 1.0
+    rhs = np.array(rhs)
     sse0 = float(np.sum((design @ x0 - rhs) ** 2))
     solution, rnorm = scipy.optimize.nnls(design, rhs)
     if rnorm**2 >= sse0 - 1e-12:
         return d
-    return rebuild(solution)
-
-
-def build_and_adjust(m: CoincidenceMatrix) -> tuple:
-    """Convenience pipeline: greedy build followed by the least-squares pass."""
-    tree, steps = build_dendrogram(m)
-    adjusted = redistribute_residuals(tree, m)
-    return tree, adjusted, steps
+    return _with_lengths(d, solution)

@@ -7,7 +7,7 @@ two leaves at path distance L is exp(-L/100). Chains are crossed as
 segments of their width. Runs are deterministic given the seed: replicate
 sub-seeds come from a fixed splittable scheme, segments are visited in a
 canonical pre-order, and all uniforms for a segment are drawn in one call,
-so serial, parallel and both kernel backends agree bit for bit.
+so serial and parallel runs agree bit for bit.
 """
 
 import math

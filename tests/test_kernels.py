@@ -1,112 +1,35 @@
-"""Backend equivalence: the compiled and numpy kernels must agree bit for bit."""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels: fresh-id replacement and per-pair shared counts."""
 
 import numpy as np
-import pytest
 
 from isolect import _kernels
-from isolect._kernels import _pykernels
-
-try:
-    from isolect._kernels import _ckernels
-except ImportError:
-    _ckernels = None
-
-needs_cython = pytest.mark.skipif(_ckernels is None, reason="compiled kernels unavailable")
 
 
 class TestPythonKernels:
     def test_evolve_no_replacements(self):
         parent = np.arange(10, dtype=np.int64)
-        child, nid = _pykernels.evolve_slots(parent, np.full(10, 0.5), 0.0, 10)
+        child, nid = _kernels.evolve_slots(parent, np.full(10, 0.5), 0.0, 10)
         assert np.array_equal(child, parent)
         assert nid == 10
 
     def test_evolve_all_replaced(self):
         parent = np.zeros(5, dtype=np.int64)
-        child, nid = _pykernels.evolve_slots(parent, np.zeros(5), 1.0, 100)
+        child, nid = _kernels.evolve_slots(parent, np.zeros(5), 1.0, 100)
         assert np.array_equal(child, np.arange(100, 105))
         assert nid == 105
 
     def test_fresh_ids_in_slot_order(self):
         parent = np.zeros(6, dtype=np.int64)
         u = np.array([0.9, 0.1, 0.9, 0.1, 0.1, 0.9])
-        child, nid = _pykernels.evolve_slots(parent, u, 0.5, 50)
+        child, nid = _kernels.evolve_slots(parent, u, 0.5, 50)
         assert list(child) == [0, 50, 0, 51, 52, 0]
         assert nid == 53
 
     def test_counts_small_case(self):
         classes = np.array([[1, 2, 3], [1, 2, 4], [9, 2, 3]], dtype=np.int64)
-        out = _pykernels.pair_shared_counts(classes)
+        out = _kernels.pair_shared_counts(classes)
         assert out[0, 1] == 2
         assert out[0, 2] == 2
         assert out[1, 2] == 1
         assert np.array_equal(out, out.T)
         assert np.all(np.diag(out) == 0)
-
-
-@needs_cython
-class TestBackendEquivalence:
-    def test_evolve_identical(self):
-        rng = np.random.default_rng(0)
-        for trial in range(20):
-            n = int(rng.integers(1, 5000))
-            parent = rng.integers(0, 1000, n).astype(np.int64)
-            uniforms = rng.random(n)
-            prob = float(rng.uniform(0.0, 1.0))
-            next_id = int(rng.integers(0, 10**9))
-            a = _pykernels.evolve_slots(parent, uniforms, prob, next_id)
-            b = _ckernels.evolve_slots(parent, uniforms, prob, next_id)
-            assert np.array_equal(a[0], b[0])
-            assert a[1] == b[1]
-
-    def test_counts_identical(self):
-        rng = np.random.default_rng(1)
-        for trial in range(20):
-            k = int(rng.integers(2, 8))
-            n = int(rng.integers(1, 3000))
-            classes = rng.integers(0, 6, (k, n)).astype(np.int64)
-            assert np.array_equal(
-                _pykernels.pair_shared_counts(classes),
-                _ckernels.pair_shared_counts(classes),
-            )
-
-    def test_edge_probabilities(self):
-        parent = np.arange(100, dtype=np.int64)
-        uniforms = np.linspace(0.0, 1.0, 100, endpoint=False)
-        for prob in (0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0):
-            a = _pykernels.evolve_slots(parent, uniforms, prob, 100)
-            b = _ckernels.evolve_slots(parent, uniforms, prob, 100)
-            assert np.array_equal(a[0], b[0]) and a[1] == b[1]
-
-
-class TestBackendSelection:
-    def test_backend_reported(self):
-        assert _kernels.BACKEND in ("cython", "python")
-
-    def test_pure_env_forces_python(self):
-        code = (
-            "import isolect._kernels as k; print(k.BACKEND)"
-        )
-        env = dict(os.environ, ISOLECT_PURE="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "python"
-
-    @needs_cython
-    def test_simulation_identical_across_backends(self, two_cherry_tree, monkeypatch):
-        from isolect import SimulationConfig, simulate_cognacy
-
-        cfg = SimulationConfig(tree=two_cherry_tree, slots=2000, seed=31)
-        with_compiled = simulate_cognacy(cfg)
-        monkeypatch.setattr("isolect._kernels.evolve_slots", _pykernels.evolve_slots)
-        monkeypatch.setattr(
-            "isolect._kernels.pair_shared_counts", _pykernels.pair_shared_counts
-        )
-        with_python = simulate_cognacy(cfg)
-        assert np.array_equal(with_compiled.class_ids, with_python.class_ids)

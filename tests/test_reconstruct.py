@@ -17,7 +17,15 @@ from isolect import (
     three_language_tree,
     two_language_family,
 )
-from isolect.dendrogram import ChainNode, Dendrogram, Leaf, RootLink, attach_depth
+from isolect.dendrogram import (
+    ChainNode,
+    Dendrogram,
+    Leaf,
+    RootLink,
+    _paths,
+    _with_lengths,
+    attach_depth,
+)
 
 
 def matrix_from_distances(labels, dist) -> CoincidenceMatrix:
@@ -363,3 +371,117 @@ class TestBuiltGeometry:
 
         walk(tree.root.left)
         walk(tree.root.right)
+
+
+def random_tree(rng, k, link=True) -> Dendrogram:
+    """Random topology, lengths and attach sides over k leaves.
+
+    With ``link`` the last two subtrees meet in a root link; without it the
+    root is a single node.
+    """
+    items = [Leaf(f"L{i}") for i in range(k)]
+    for count in range(1, k - (1 if link else 0)):
+        i, j = sorted(int(x) for x in rng.choice(len(items), 2, replace=False))
+        right = items.pop(j)
+        left = items.pop(i)
+        items.append(
+            ChainNode(
+                id=f"n{count}",
+                width=float(rng.uniform(0.0, 10.0)),
+                left=left,
+                right=right,
+                left_edge=float(rng.uniform(0.0, 20.0)),
+                right_edge=float(rng.uniform(0.0, 20.0)),
+                attach_side=("left", "right")[int(rng.integers(2))],
+            )
+        )
+    if link:
+        return Dendrogram(RootLink(float(rng.uniform(0.0, 30.0)), items[0], items[1]))
+    return Dendrogram(items[0])
+
+
+def reference_distances(tree) -> dict:
+    """Leaf distances by a direct recursive sum, in the same rounding order."""
+
+    def meet(dl, length, dr):
+        return {frozenset((x, y)): vx + length + vy for x, vx in dl.items() for y, vy in dr.items()}
+
+    def collect(node):
+        # distances of the leaves below node to its attach endpoint, plus
+        # every pair that meets inside the subtree
+        if isinstance(node, Leaf):
+            return {node.label: 0.0}, {}
+        (dl, pl), (dr, pr) = collect(node.left), collect(node.right)
+        dl = {x: v + node.left_edge for x, v in dl.items()}
+        dr = {x: v + node.right_edge for x, v in dr.items()}
+        pairs = {**pl, **pr, **meet(dl, node.width, dr)}
+        if node.attach_side == "left":
+            dr = {x: v + node.width for x, v in dr.items()}
+        else:
+            dl = {x: v + node.width for x, v in dl.items()}
+        return {**dl, **dr}, pairs
+
+    if not isinstance(tree.root, RootLink):
+        return collect(tree.root)[1]
+    (dl, pl), (dr, pr) = collect(tree.root.left), collect(tree.root.right)
+    return {**pl, **pr, **meet(dl, tree.root.length, dr)}
+
+
+class TestPathWalk:
+    @pytest.mark.parametrize("link", [True, False])
+    def test_paths_match_rebuild_and_distances(self, link):
+        rng = np.random.default_rng(11 if link else 12)
+        sides = set()
+        for k in range(2, 31):
+            tree = random_tree(rng, k, link)
+            sides.update(node.attach_side for node in tree.chain_nodes())
+            values, paths = _paths(tree)
+            assert values.size == 3 * len(tree.chain_nodes()) + link
+            assert _with_lengths(tree, values) == tree
+            shifted = values + np.arange(values.size)
+            assert np.array_equal(_paths(_with_lengths(tree, shifted))[0], shifted)
+
+            dists = leaf_distances(tree)
+            assert dists == reference_distances(tree)
+            assert set(paths) == set(dists)
+            assert len(paths) == k * (k - 1) // 2
+            design = np.zeros((len(paths), values.size))
+            for row, (up_a, meet, up_b) in enumerate(paths.values()):
+                crossed = up_a + (meet,) + up_b
+                assert len(set(crossed)) == len(crossed)
+                design[row, list(crossed)] = 1.0
+            expected = [dists[pair] for pair in paths]
+            np.testing.assert_allclose(design @ values, expected, rtol=0.0, atol=1e-9)
+        assert sides == {"left", "right"}
+
+    def test_single_leaf_has_no_lengths(self):
+        tree = Dendrogram(Leaf("only"))
+        values, paths = _paths(tree)
+        assert values.size == 0
+        assert paths == {}
+        assert _with_lengths(tree, values) == tree
+
+    def test_walk_orders_on_fixed_tree(self):
+        def chain(node_id, left, right):
+            return ChainNode(node_id, 1.0, left, right, 2.0, 3.0, "right")
+
+        a2 = chain("a2", chain("a1", Leaf("a"), Leaf("b")), Leaf("c"))
+        b2 = chain("b2", Leaf("f"), chain("b1", Leaf("d"), Leaf("e")))
+        tree = Dendrogram(RootLink(5.0, a2, b2))
+        assert tree.leaves() == ("a", "b", "c", "f", "d", "e")
+        assert [n.id for n in tree.chain_nodes()] == ["a2", "a1", "b2", "b1"]
+        assert tree.clades() == {
+            "a2": frozenset("abc"),
+            "a1": frozenset("ab"),
+            "b2": frozenset("def"),
+            "b1": frozenset("de"),
+        }
+        assert tree.topology_signature() == frozenset(
+            {
+                frozenset("abc"),
+                frozenset("ab"),
+                frozenset("def"),
+                frozenset("de"),
+                frozenset((frozenset("abc"), frozenset("def"))),
+            }
+        )
