@@ -53,19 +53,37 @@ def _check_labels(labels) -> tuple:
     return labels
 
 
-def _symmetric_array(labels, values, kind: str, check) -> np.ndarray:
+# Per matrix kind: the test an off-diagonal entry must pass besides being
+# finite, and the rule named when it fails.
+_DOMAINS = {
+    "coincidence": (lambda a: (a > 0.0) & (a <= 100.0), "must lie on (0, 100]"),
+    "distance": (lambda a: a >= 0.0, "must be finite and >= 0"),
+}
+
+
+def _symmetric_array(labels, values, kind: str) -> np.ndarray:
+    """Validated read-only copy of a symmetric matrix, diagonal set to NaN.
+
+    The error names the first bad pair in row-major upper-triangle order;
+    asymmetry is reported before a domain violation on the same pair.
+    """
     k = len(labels)
     arr = np.array(values, dtype=float)
     if arr.shape != (k, k):
         raise DomainError(f"{kind} matrix must be {k}x{k}, got shape {arr.shape}")
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not np.isclose(arr[i, j], arr[j, i], rtol=0.0, atol=1e-9):
-                raise DomainError(
-                    f"asymmetric {kind} for pair ({labels[i]}, {labels[j]}): "
-                    f"{arr[i, j]!r} vs {arr[j, i]!r}"
-                )
-            check(arr[i, j], labels[i], labels[j])
+    in_domain, rule = _DOMAINS[kind]
+    asymmetric = ~np.isclose(arr, arr.T, rtol=0.0, atol=1e-9)
+    with np.errstate(invalid="ignore"):
+        invalid = ~(np.isfinite(arr) & in_domain(arr))
+    bad = np.argwhere(np.triu(asymmetric | invalid, 1))
+    if bad.size:
+        i, j = bad[0]
+        a, b = labels[i], labels[j]
+        if asymmetric[i, j]:
+            raise DomainError(
+                f"asymmetric {kind} for pair ({a}, {b}): {arr[i, j]!r} vs {arr[j, i]!r}"
+            )
+        raise DomainError(f"{kind} for pair ({a}, {b}) {rule}, got {arr[i, j]!r}")
     np.fill_diagonal(arr, np.nan)
     arr.setflags(write=False)
     return arr
@@ -86,15 +104,8 @@ class CoincidenceMatrix:
     def __post_init__(self):
         labels = _check_labels(self.labels)
         object.__setattr__(self, "labels", labels)
-
-        def check(v, a, b):
-            if not np.isfinite(v) or v <= 0.0 or v > 100.0:
-                raise DomainError(
-                    f"coincidence for pair ({a}, {b}) must lie on (0, 100], got {v!r}"
-                )
-
         object.__setattr__(
-            self, "values", _symmetric_array(labels, self.values, "coincidence", check)
+            self, "values", _symmetric_array(labels, self.values, "coincidence")
         )
         if int(self.list_size) <= 0:
             raise DomainError(f"list_size must be positive, got {self.list_size!r}")
@@ -130,15 +141,8 @@ class DistanceMatrix:
     def __post_init__(self):
         labels = _check_labels(self.labels)
         object.__setattr__(self, "labels", labels)
-
-        def check(v, a, b):
-            if not np.isfinite(v) or v < 0.0:
-                raise DomainError(
-                    f"distance for pair ({a}, {b}) must be finite and >= 0, got {v!r}"
-                )
-
         object.__setattr__(
-            self, "values", _symmetric_array(labels, self.values, "distance", check)
+            self, "values", _symmetric_array(labels, self.values, "distance")
         )
 
     @property
@@ -279,25 +283,27 @@ def coincidence_from_cognacy(
             for lang, slots in per_lang.items()
         )
         raise InputFormatError(f"languages with missing slots: {detail}")
+    classes = table.class_ids
     if exclude_borrowed:
-        keep = ~table.borrowed.any(axis=0)
-    else:
-        keep = np.ones(len(table.slots), dtype=bool)
-    n_eff = int(np.count_nonzero(keep))
+        classes = classes[:, ~table.borrowed.any(axis=0)]
+    return _coincidence_from_classes(table.languages, classes)
+
+
+def _coincidence_from_classes(languages, classes) -> CoincidenceMatrix:
+    """Coincidence matrix of a (languages x slots) class matrix with no missing entries."""
+    n_eff = classes.shape[1]
     if n_eff == 0:
         raise InputFormatError("no slots left after excluding borrowed entries")
-    classes = np.ascontiguousarray(table.class_ids[:, keep])
     counts = _kernels.pair_shared_counts(classes)
-    k = len(table.languages)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if counts[i, j] == 0:
-                raise DomainError(
-                    f"pair ({table.languages[i]}, {table.languages[j]}) shares no "
-                    "cognate classes; coincidence of 0 has no finite distance"
-                )
+    unshared = np.argwhere(np.triu(counts == 0, 1))
+    if unshared.size:
+        i, j = unshared[0]
+        raise DomainError(
+            f"pair ({languages[i]}, {languages[j]}) shares no "
+            "cognate classes; coincidence of 0 has no finite distance"
+        )
     values = 100.0 * counts.astype(float) / n_eff
-    return CoincidenceMatrix(table.languages, values, list_size=n_eff)
+    return CoincidenceMatrix(languages, values, list_size=n_eff)
 
 
 @dataclass(frozen=True)

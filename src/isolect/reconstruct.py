@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .dendrogram import (
     ChainNode,
@@ -318,6 +317,8 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     design[rows, cols] = 1.0
     rhs = np.array(rhs)
     sse0 = float(np.sum((design @ x0 - rhs) ** 2))
+    import scipy.optimize  # deferred: commands that never polish skip its import cost
+
     solution, rnorm = scipy.optimize.nnls(design, rhs)
     if rnorm**2 >= sse0 - 1e-12:
         return d

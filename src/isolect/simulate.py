@@ -11,6 +11,7 @@ so serial and parallel runs agree bit for bit.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .dendrogram import Dendrogram, Leaf, RootLink, leaf_distances, theoretical_matrix
 from .errors import DomainError
-from .lexstat import CognacyTable, coincidence_from_cognacy
+from .lexstat import CognacyTable, _coincidence_from_classes
 from .reconstruct import build_dendrogram, redistribute_residuals
 
 __all__ = [
@@ -97,23 +98,38 @@ def _segments(tree: Dendrogram):
     return start, segments
 
 
-def _replicate_leaf_classes(cfg: SimulationConfig, replicate: int) -> dict:
-    """Evolve all slots for one replicate; returns label -> class array."""
+def _replicate_classes(cfg: SimulationConfig, replicate: int):
+    """Evolve all slots for one replicate: ``(languages, ids)``.
+
+    ``ids`` is the (k, slots) int64 class matrix, rows in ``tree.leaves()``
+    order. Each leaf's classes are written straight into its row, and an
+    inner point's class array is dropped once its last child segment has
+    been stepped.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(replicate,))
     )
     start, segments = _segments(cfg.tree)
+    languages = cfg.tree.leaves()
+    rows = {("leaf", label): i for i, label in enumerate(languages)}
+    children = Counter(parent for parent, _, _ in segments)
+    ids = np.empty((len(languages), cfg.slots), dtype=np.int64)
     classes = {start: np.arange(cfg.slots, dtype=np.int64)}
+    if start in rows:
+        ids[rows[start]] = classes[start]
     next_id = cfg.slots
     for parent, child, length in segments:
         prob = 1.0 - math.exp(-length / 100.0)
         uniforms = rng.random(cfg.slots)
         evolved, next_id = _kernels.evolve_slots(classes[parent], uniforms, prob, next_id)
-        classes[child] = evolved
-    return {
-        label: classes[("leaf", label)]
-        for label in cfg.tree.leaves()
-    }
+        children[parent] -= 1
+        if not children[parent]:
+            del classes[parent]
+        if child in rows:
+            ids[rows[child]] = evolved
+        else:
+            classes[child] = evolved
+    return languages, ids
 
 
 def simulate_cognacy(cfg: SimulationConfig, replicate: int = 0) -> CognacyTable:
@@ -122,13 +138,10 @@ def simulate_cognacy(cfg: SimulationConfig, replicate: int = 0) -> CognacyTable:
         raise DomainError(
             f"replicate index {replicate} outside [0, {cfg.replicates})"
         )
-    leaf_classes = _replicate_leaf_classes(cfg, replicate)
-    languages = cfg.tree.leaves()
+    languages, ids = _replicate_classes(cfg, replicate)
     width = len(str(cfg.slots - 1))
     slots = tuple(f"s{j:0{width}d}" for j in range(cfg.slots))
-    ids = np.vstack([leaf_classes[label] for label in languages])
-    borrowed = np.zeros_like(ids, dtype=bool)
-    return CognacyTable(languages, slots, ids, borrowed)
+    return CognacyTable(languages, slots, ids, np.zeros_like(ids, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -191,7 +204,8 @@ def recovery_trial(cfg: SimulationConfig, analytic: bool = False) -> RecoveryRep
 
     With ``analytic`` the sampling step is bypassed and the reconstruction
     runs on the tree's exact coincidence matrix (a noise-free sanity check,
-    one pseudo-replicate).
+    one pseudo-replicate). Sampled replicates are counted straight from the
+    simulated class matrix; no slot names or ``CognacyTable`` are built.
     """
     if cfg.tree.k < 2:
         raise DomainError("ground-truth tree needs at least 2 leaves")
@@ -201,8 +215,7 @@ def recovery_trial(cfg: SimulationConfig, analytic: bool = False) -> RecoveryRep
         results.append(_one_trial(cfg, measured, replicate=0))
     else:
         for replicate in range(cfg.replicates):
-            table = simulate_cognacy(cfg, replicate)
-            measured = coincidence_from_cognacy(table)
+            measured = _coincidence_from_classes(*_replicate_classes(cfg, replicate))
             results.append(_one_trial(cfg, measured, replicate=replicate))
     results = tuple(results)
     return RecoveryReport(

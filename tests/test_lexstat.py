@@ -7,6 +7,7 @@ from isolect import (
     BorrowingAdjustment,
     CognacyTable,
     CoincidenceMatrix,
+    DistanceMatrix,
     DomainError,
     InputFormatError,
     adjust_coincidence_for_borrowings,
@@ -87,6 +88,79 @@ class TestCoincidenceMatrix:
             table1.values[0, 1] = 5.0
 
 
+def _with_entries(base, entries):
+    """4x4 symmetric matrix of ``base`` with each (i, j) -> value set on one side only."""
+    arr = np.full((4, 4), base)
+    np.fill_diagonal(arr, np.nan)
+    for (i, j), value in entries.items():
+        arr[i, j] = value
+    return arr
+
+
+LABELS = ("a", "b", "c", "d")
+F = np.float64  # messages show entries as numpy scalars, so build them the same way
+
+
+class TestMatrixErrors:
+    """The first bad pair in row-major upper-triangle order is the one named."""
+
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            # asymmetric (a, c) comes before out-of-range (b, d)
+            ({(0, 2): 60.0, (1, 3): 150.0, (3, 1): 150.0},
+             f"asymmetric coincidence for pair (a, c): {F(60.0)!r} vs {F(50.0)!r}"),
+            # out-of-range (a, b) comes before asymmetric (a, d)
+            ({(0, 1): 0.0, (1, 0): 0.0, (3, 0): 40.0},
+             f"coincidence for pair (a, b) must lie on (0, 100], got {F(0.0)!r}"),
+            # (a, d) precedes (b, c) although its asymmetry sits in the lower triangle
+            ({(1, 2): -5.0, (2, 1): -5.0, (3, 0): 51.0},
+             f"asymmetric coincidence for pair (a, d): {F(50.0)!r} vs {F(51.0)!r}"),
+            # both faults on one pair: asymmetry is reported
+            ({(0, 1): 150.0, (1, 0): 120.0, (2, 3): np.nan, (3, 2): np.nan},
+             f"asymmetric coincidence for pair (a, b): {F(150.0)!r} vs {F(120.0)!r}"),
+            # NaN never equals itself, so a NaN pair reads as asymmetric
+            ({(0, 3): np.nan, (3, 0): np.nan, (1, 2): 101.0, (2, 1): 101.0},
+             f"asymmetric coincidence for pair (a, d): {F(np.nan)!r} vs {F(np.nan)!r}"),
+            ({(0, 3): np.inf, (3, 0): np.inf, (1, 2): 101.0, (2, 1): 101.0},
+             f"coincidence for pair (a, d) must lie on (0, 100], got {F(np.inf)!r}"),
+        ],
+    )
+    def test_coincidence(self, entries, message):
+        with pytest.raises(DomainError) as info:
+            CoincidenceMatrix(LABELS, _with_entries(50.0, entries))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            ({(0, 2): 30.0, (2, 3): -1.0, (3, 2): -1.0},
+             f"asymmetric distance for pair (a, c): {F(30.0)!r} vs {F(20.0)!r}"),
+            ({(1, 3): np.inf, (3, 1): np.inf, (2, 3): -1.0, (3, 2): -1.0},
+             f"distance for pair (b, d) must be finite and >= 0, got {F(np.inf)!r}"),
+            ({(0, 1): -2.0, (1, 0): -3.0, (0, 2): -1.0, (2, 0): -1.0},
+             f"asymmetric distance for pair (a, b): {F(-2.0)!r} vs {F(-3.0)!r}"),
+            # differences within 1e-9 are symmetric; the domain fault is named
+            ({(0, 1): -1e-10, (1, 0): 0.0, (2, 3): -1.0, (3, 2): -1.0},
+             f"distance for pair (a, b) must be finite and >= 0, got {F(-1e-10)!r}"),
+        ],
+    )
+    def test_distance(self, entries, message):
+        with pytest.raises(DomainError) as info:
+            DistanceMatrix(LABELS, _with_entries(20.0, entries))
+        assert str(info.value) == message
+
+    def test_diagonal_ignored(self):
+        arr = _with_entries(50.0, {})
+        np.fill_diagonal(arr, -7.0)
+        m = CoincidenceMatrix(LABELS, arr)
+        assert np.isnan(np.diag(m.values)).all()
+
+    def test_shape_checked_first(self):
+        with pytest.raises(DomainError, match=r"must be 4x4, got shape \(3, 3\)"):
+            CoincidenceMatrix(LABELS, np.full((3, 3), -1.0))
+
+
 def _table_from_columns(langs, columns, borrowed_slots=()):
     """columns: list over slots of per-language class tokens."""
     rows = []
@@ -139,6 +213,36 @@ class TestCognacyCounting:
         ]
         table = CognacyTable.from_rows(rows)
         with pytest.raises(InputFormatError, match="no slots left"):
+            coincidence_from_cognacy(table, exclude_borrowed=True)
+
+    def test_no_slots_at_all(self):
+        table = CognacyTable(("x", "y"), (), np.zeros((2, 0)), np.zeros((2, 0)))
+        with pytest.raises(InputFormatError, match="no slots left"):
+            coincidence_from_cognacy(table)
+
+    def test_borrowed_slots_kept_unless_excluded(self):
+        columns = [(f"w{j}", f"w{j}") for j in range(79)]
+        columns += [(f"u{j}", f"v{j}") for j in range(21)]
+        table = _table_from_columns(("x", "y"), columns, borrowed_slots={"s000"})
+        m = coincidence_from_cognacy(table)
+        assert m.list_size == 100
+        assert m.value("x", "y") == 79.0
+
+    def test_first_unshared_pair_named(self):
+        # x-y and y-z share nothing; x-y comes first in row-major order
+        columns = [("w", "v", "w"), ("u", "t", "s")]
+        table = _table_from_columns(("x", "y", "z"), columns)
+        with pytest.raises(DomainError) as info:
+            coincidence_from_cognacy(table)
+        assert str(info.value) == (
+            "pair (x, y) shares no cognate classes; coincidence of 0 has no finite distance"
+        )
+
+    def test_unshared_after_exclusion(self):
+        columns = [("w", "w", "w"), ("u", "v", "u"), ("a", "a", "b")]
+        table = _table_from_columns(("x", "y", "z"), columns, borrowed_slots={"s000"})
+        assert coincidence_from_cognacy(table).value("y", "z") == pytest.approx(100 / 3)
+        with pytest.raises(DomainError, match=r"pair \(y, z\) shares no"):
             coincidence_from_cognacy(table, exclude_borrowed=True)
 
     def test_duplicate_row_rejected(self):

@@ -1,11 +1,16 @@
 """Closed forms, greedy construction, residual redistribution, root variants."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isolect
 from isolect import (
     CoincidenceMatrix,
     DomainError,
@@ -485,3 +490,12 @@ class TestPathWalk:
                 frozenset((frozenset("abc"), frozenset("def"))),
             }
         )
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported on the first least-squares polish, not with the package
+    src = str(Path(isolect.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, isolect, isolect.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

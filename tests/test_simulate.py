@@ -1,6 +1,8 @@
 """Monte-Carlo cognacy generation and recovery trials."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,30 @@ from isolect import (
     simulate_cognacy,
 )
 from isolect.dendrogram import ChainNode, Dendrogram, Leaf, RootLink
+from isolect.simulate import RecoveryReport, _one_trial
+from isolect.treeio import load_dendrogram
+
+SIM4_TREE = Path(__file__).resolve().parent.parent / "data" / "sim4_tree.json"
 
 
 def two_leaf_tree(length):
     return Dendrogram(RootLink(length=length, left=Leaf("x"), right=Leaf("y")))
+
+
+def nested_tree():
+    """Five leaves under a chain root: both attach sides, a zero width, a nested chain."""
+    c = ChainNode(id="c", width=3.0, left=Leaf("t"), right=Leaf("u"),
+                  left_edge=7.0, right_edge=5.0, attach_side="right")
+    b = ChainNode(id="b", width=0.0, left=Leaf("s"), right=c,
+                  left_edge=20.0, right_edge=9.0, attach_side="left")
+    a = ChainNode(id="a", width=4.0, left=Leaf("p"), right=Leaf("q"),
+                  left_edge=15.0, right_edge=15.0, attach_side="right")
+    return Dendrogram(ChainNode(id="r", width=8.0, left=a, right=b,
+                                left_edge=12.0, right_edge=0.0, attach_side="left"))
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestSimulateCognacy:
@@ -80,6 +102,22 @@ class TestSimulateCognacy:
         table = simulate_cognacy(cfg)
         assert not table.borrowed.any()
 
+    def test_class_ids_pinned(self):
+        # digest of the class matrix as the simulator produced it before
+        # recovery trials stopped building tables; guards the RNG stream
+        cfg = SimulationConfig(tree=nested_tree(), slots=5000, seed=31, replicates=2)
+        table = simulate_cognacy(cfg, replicate=1)
+        assert table.languages == ("p", "q", "s", "t", "u")
+        assert table.slots[0] == "s0000" and table.slots[-1] == "s4999"
+        assert sha256(table.class_ids.astype("<i8").tobytes()) == (
+            "c1a372b8a20232547c8be483622af870c7344535290fdc4f96fda972fc45e4c8"
+        )
+
+    def test_single_leaf_tree(self):
+        table = simulate_cognacy(SimulationConfig(tree=Dendrogram(Leaf("solo")), slots=5, seed=1))
+        assert table.languages == ("solo",)
+        assert table.class_ids.tolist() == [[0, 1, 2, 3, 4]]
+
     def test_config_validation(self, two_cherry_tree):
         with pytest.raises(DomainError):
             SimulationConfig(tree=two_cherry_tree, slots=0, seed=1)
@@ -117,3 +155,48 @@ class TestRecoveryTrial:
         cfg = SimulationConfig(tree=Dendrogram(Leaf("solo")), slots=10, seed=1)
         with pytest.raises(DomainError):
             recovery_trial(cfg)
+
+
+def report_through_tables(cfg):
+    """Recovery report built from named tables, the way the CLI sees the data."""
+    results = tuple(
+        _one_trial(cfg, coincidence_from_cognacy(simulate_cognacy(cfg, r)), replicate=r)
+        for r in range(cfg.replicates)
+    )
+    return RecoveryReport(
+        analytic=False,
+        replicates=results,
+        all_topologies_match=all(r.topology_match for r in results),
+        worst_length_error=max(r.max_length_error for r in results),
+        worst_path_error=max(r.max_path_error for r in results),
+    )
+
+
+class TestClassMatrixPath:
+    """``recovery_trial`` counts from the class matrix; tables must agree."""
+
+    @pytest.mark.parametrize("seed,replicates", [(3, 1), (17, 2), (20260301, 3)])
+    def test_two_cherry_tree(self, two_cherry_tree, seed, replicates):
+        cfg = SimulationConfig(tree=two_cherry_tree, slots=3000, seed=seed, replicates=replicates)
+        assert repr(recovery_trial(cfg)) == repr(report_through_tables(cfg))
+
+    @pytest.mark.parametrize("replicates", [1, 2, 3])
+    def test_sim4_tree(self, replicates):
+        cfg = SimulationConfig(
+            tree=load_dendrogram(SIM4_TREE), slots=10000, seed=20260301, replicates=replicates
+        )
+        assert repr(recovery_trial(cfg)) == repr(report_through_tables(cfg))
+
+    def test_nested_tree(self):
+        cfg = SimulationConfig(tree=nested_tree(), slots=4000, seed=5, replicates=2)
+        assert repr(recovery_trial(cfg)) == repr(report_through_tables(cfg))
+
+    def test_report_pinned(self):
+        # repr digest of the report as computed when every replicate went
+        # through a named CognacyTable
+        cfg = SimulationConfig(
+            tree=load_dendrogram(SIM4_TREE), slots=20000, seed=2026, replicates=3
+        )
+        assert sha256(repr(recovery_trial(cfg)).encode()) == (
+            "096b0ada24f1bc9dcbaa8b44fb0227e582b41d43448ab28e826e47d15261866b"
+        )
