@@ -9,6 +9,7 @@ topmost element is either a single node (degenerate one-language case) or a
 root link of known length but undetermined configuration.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Union
@@ -394,25 +395,19 @@ def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:
     if tree_labels != matrix_labels:
         diff = sorted(tree_labels.symmetric_difference(matrix_labels))
         raise DomainError(f"tree and matrix label sets differ: {diff}")
+    pairs = list(itertools.combinations(measured.labels, 2))  # row-major, i < j
+    c_meas = measured.values[np.triu_indices(measured.k, 1)].tolist()
     dists = leaf_distances(d)
-    rows = []
-    for a, b, c_meas in measured.pairs():
-        l_meas = 100.0 * math.log(100.0 / c_meas)
-        l_theo = dists[frozenset((a, b))]
-        c_theo = coincidence_from_distance(l_theo)
-        rows.append(
-            PairFit(
-                pair=(a, b),
-                measured_distance=l_meas,
-                theoretical_distance=l_theo,
-                residual_distance=l_theo - l_meas,
-                measured_coincidence=c_meas,
-                theoretical_coincidence=c_theo,
-                residual_coincidence=c_theo - c_meas,
-            )
-        )
-    res_l = np.array([r.residual_distance for r in rows]) if rows else np.zeros(0)
-    res_c = np.array([r.residual_coincidence for r in rows]) if rows else np.zeros(0)
+    l_theo = [dists[frozenset(pair)] for pair in pairs]
+    # the scalar conversions are kept: np.log and np.exp differ from them in
+    # the last bit on some inputs
+    l_meas = [100.0 * math.log(100.0 / c) for c in c_meas]
+    c_theo = [coincidence_from_distance(l) for l in l_theo]
+    res_l = np.subtract(l_theo, l_meas)
+    res_c = np.subtract(c_theo, c_meas)
+    rows = tuple(
+        map(PairFit, pairs, l_meas, l_theo, res_l.tolist(), c_meas, c_theo, res_c.tolist())
+    )
     if rows:
         rms_l = float(np.sqrt(np.mean(res_l**2)))
         rms_c = float(np.sqrt(np.mean(res_c**2)))
@@ -420,4 +415,4 @@ def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:
         max_c = float(np.max(np.abs(res_c)))
     else:
         rms_l = rms_c = max_l = max_c = 0.0
-    return FitReport(tuple(rows), rms_l, max_l, rms_c, max_c)
+    return FitReport(rows, rms_l, max_l, rms_c, max_c)

@@ -21,8 +21,13 @@ node to every remaining point use the stem formula
 
 The final two points are joined by a root link of known length but
 undetermined configuration. Measurement contradictions accumulated by the
-greedy pass can afterwards be spread over all free lengths by a nonnegative
-least-squares adjustment.
+greedy pass can afterwards be spread by a least-squares adjustment whose
+unknowns are the chain levels and widths and the root-link length, so that
+every divergence line is a level difference and chains stay horizontal. The
+constraint that no length is negative makes it an inequality-constrained
+least-squares problem; it is solved exactly through the least-distance dual
+of Lawson & Hanson (1974, ch. 23), one small nonnegative least-squares
+problem, and its optimum is unique.
 """
 
 import itertools
@@ -290,13 +295,57 @@ def build_dendrogram(m: CoincidenceMatrix) -> tuple:
     return tree, tuple(steps)
 
 
+def _level_width_map(d: Dendrogram) -> np.ndarray:
+    """The free lengths of ``d`` as a linear map of its levels and widths.
+
+    Returns ``T``, one row per free length in the layout of ``_paths`` and
+    one column per unknown: the level (endpoint depth) of each chain in
+    ``chain_nodes`` order, then each chain's width in the same order, then
+    the root-link length if there is one. A divergence line is the level of
+    its chain minus the level of the child below it (a leaf's level is 0);
+    widths and the root link map 1:1. ``T @ y`` is therefore a tree whose
+    chains are all horizontal, and ``T @ y >= 0`` says that every length is
+    nonnegative.
+    """
+    chains = d.chain_nodes()
+    n = len(chains)
+    index = {id(node): i for i, node in enumerate(chains)}
+    link = isinstance(d.root, RootLink)
+    T = np.zeros((3 * n + link, 2 * n + link))
+    for i, node in enumerate(chains):
+        for row, child in ((3 * i, node.left), (3 * i + 1, node.right)):
+            T[row, i] = 1.0
+            if isinstance(child, ChainNode):
+                T[row, index[id(child)]] = -1.0
+        T[3 * i + 2, n + i] = 1.0
+    if link:
+        T[3 * n, 2 * n] = 1.0
+    return T
+
+
 def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendrogram:
-    """Spread measurement contradictions over all free lengths.
+    """Spread measurement contradictions over the levels and widths of the chains.
 
     Minimizes the sum of squared differences between tree paths and measured
-    distances over all divergence lengths, chain widths and the root-link
-    length, subject to nonnegativity, with topology and orientations fixed.
-    Returns the input tree unchanged when no improvement is possible.
+    distances, with topology and orientations fixed. The unknowns are each
+    chain's level and width and the root-link length (``_level_width_map``),
+    so every divergence line is a level difference and the result has
+    horizontal chains by construction; the constraint is that every length
+    is nonnegative (a chain sits at or above the children it joins). When
+    the root is a chain rather than a root link, its level and width enter
+    every path through it only as ``2 * level + width``, so its width is
+    held at its input value and only its level moves. With that rule the
+    least-squares problem has full column rank and a unique optimum.
+
+    The problem is solved in normal form: with ``G = R^T R`` the Cholesky
+    factorization of the normal matrix and ``c`` its reduced right-hand
+    side, the inequality-constrained least-squares problem is a
+    least-distance program in ``z = R y - c`` (Lawson & Hanson 1974,
+    ch. 23), whose dual is one nonnegative least-squares problem with a row
+    per unknown plus one and a column per free length.
+
+    Returns the input tree unchanged when the sum of squares does not
+    improve.
     """
     tree_labels = set(d.leaves())
     matrix_labels = set(measured.labels)
@@ -306,20 +355,55 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     x0, paths = _paths(d)
     if x0.size == 0:
         return d
-    rows, cols, rhs = [], [], []
-    for row, (a, b, c) in enumerate(measured.pairs()):
-        up_a, meet, up_b = paths[frozenset((a, b))]
-        crossed = up_a + (meet,) + up_b
-        rows += [row] * len(crossed)
-        cols += crossed
-        rhs.append(100.0 * math.log(100.0 / c))
-    design = np.zeros((len(rhs), x0.size))
-    design[rows, cols] = 1.0
-    rhs = np.array(rhs)
-    sse0 = float(np.sum((design @ x0 - rhs) ** 2))
-    import scipy.optimize  # deferred: commands that never polish skip its import cost
+    # deferred: commands that never polish skip their import cost
+    import scipy.linalg
+    import scipy.optimize
+    import scipy.sparse
 
-    solution, rnorm = scipy.optimize.nnls(design, rhs)
-    if rnorm**2 >= sse0 - 1e-12:
+    crossed, rhs = [], []
+    for a, b, c in measured.pairs():
+        up_a, meet, up_b = paths[frozenset((a, b))]
+        crossed.append(up_a + (meet,) + up_b)
+        rhs.append(100.0 * math.log(100.0 / c))
+    indptr = np.cumsum([0] + [len(path) for path in crossed])
+    indices = np.fromiter(itertools.chain.from_iterable(crossed), np.intp, indptr[-1])
+    design = scipy.sparse.csr_array(
+        (np.ones(indptr[-1]), indices, indptr), shape=(len(crossed), x0.size)
+    )
+    rhs = np.array(rhs)
+
+    T = _level_width_map(d)
+    held = np.zeros(x0.size)
+    if not isinstance(d.root, RootLink):
+        top = len(d.chain_nodes())  # the root chain's width column
+        held = T[:, top] * d.root.width
+        T = np.delete(T, top, axis=1)
+    reduced = design @ scipy.sparse.csr_array(T)
+    normal = (reduced.T @ reduced).toarray()
+    lower = np.linalg.cholesky(normal)  # R^T
+    c = scipy.linalg.solve_triangular(lower, reduced.T @ (rhs - design @ held), lower=True)
+    # least-distance program in z = R y - c: min |z| subject to
+    # (T R^-1) z >= -(T R^-1 c + held). Its dual is the NNLS problem
+    # min |dual u - e| over u >= 0, and z = -r[:-1] / r[-1] for the residual
+    # r = dual u - e, where r[-1] < 0 since y = 0 is feasible
+    constraint_t = scipy.linalg.solve_triangular(lower, T.T, lower=True)  # (T R^-1)^T
+    dual = np.vstack((constraint_t, -(c @ constraint_t + held)))
+    target = np.zeros(dual.shape[0])
+    target[-1] = 1.0
+    u, _ = scipy.optimize.nnls(dual, target)
+    residual = dual @ u - target
+    z = -residual[:-1] / residual[-1]
+    y = np.maximum(scipy.linalg.solve_triangular(lower.T, z + c, lower=False), 0.0)
+    # remove rounding-level violations: raise each chain to the highest child
+    # it joins, children first (they follow their parents in pre-order), so
+    # that every level difference is exactly nonnegative
+    edges, children = np.nonzero(T < 0)
+    for parent, child in zip(edges[::-1] // 3, children[::-1]):
+        y[parent] = max(y[parent], y[child])
+    solution = T @ y + held
+
+    sse0 = float(np.sum((design @ x0 - rhs) ** 2))
+    sse = float(np.sum((design @ solution - rhs) ** 2))
+    if sse >= sse0 * (1.0 - 1e-12) - 1e-12:
         return d
     return _with_lengths(d, solution)

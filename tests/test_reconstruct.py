@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,9 @@ from isolect.dendrogram import (
     _paths,
     _with_lengths,
     attach_depth,
+    endpoint_depths,
 )
+from isolect.reconstruct import _level_width_map
 
 
 def matrix_from_distances(labels, dist) -> CoincidenceMatrix:
@@ -490,6 +493,177 @@ class TestPathWalk:
                 frozenset((frozenset("abc"), frozenset("def"))),
             }
         )
+
+
+def horizontal_tree(rng, k, link=True) -> Dendrogram:
+    """``random_tree`` with every chain made horizontal.
+
+    Each chain sits 0-20 swadesh above the higher of its two children, and
+    its divergence lines are the level differences.
+    """
+
+    def level(node):
+        if isinstance(node, Leaf):
+            return node, 0.0
+        (left, h_left), (right, h_right) = level(node.left), level(node.right)
+        top = max(h_left, h_right) + float(rng.uniform(0.0, 20.0))
+        node = replace(
+            node, left=left, right=right, left_edge=top - h_left, right_edge=top - h_right
+        )
+        return node, top
+
+    tree = random_tree(rng, k, link)
+    if isinstance(tree.root, RootLink):
+        sides = {"left": level(tree.root.left)[0], "right": level(tree.root.right)[0]}
+        return Dendrogram(replace(tree.root, **sides))
+    return Dendrogram(level(tree.root)[0])
+
+
+def noisy_matrix(rng, tree, sd) -> CoincidenceMatrix:
+    dists = {pair: max(0.0, l + rng.normal(0.0, sd)) for pair, l in leaf_distances(tree).items()}
+    return matrix_from_distances(tree.leaves(), dists)
+
+
+def tree_sse(tree, m) -> float:
+    dists = leaf_distances(tree)
+    return sum((dists[frozenset((a, b))] - 100.0 * math.log(100.0 / c)) ** 2 for a, b, c in m.pairs())
+
+
+def assert_horizontal_and_nonnegative(tree):
+    for node in tree.chain_nodes():
+        left, right = endpoint_depths(node)
+        assert left == pytest.approx(right, abs=1e-9)
+        assert min(node.width, node.left_edge, node.right_edge) >= 0.0
+    if isinstance(tree.root, RootLink):
+        assert tree.root.length >= 0.0
+
+
+def design(tree, m) -> np.ndarray:
+    """The dense 0/1 path design of ``tree``, one row per pair of ``m``."""
+    values, paths = _paths(tree)
+    out = np.zeros((m.k * (m.k - 1) // 2, values.size))
+    for row, (a, b, _) in enumerate(m.pairs()):
+        up_a, meet, up_b = paths[frozenset((a, b))]
+        out[row, list(up_a + (meet,) + up_b)] = 1.0
+    return out
+
+
+def slsqp_polish(tree, m) -> np.ndarray:
+    """Least-squares free lengths of ``tree`` under horizontal chains, by SLSQP.
+
+    Independent of the level/width map: each chain's horizontality is a
+    linear equality on the free lengths, read off by evaluating its
+    endpoint-depth difference on unit length vectors. A chain at the root
+    keeps its width, as in ``redistribute_residuals``.
+    """
+    from scipy.optimize import minimize
+
+    x0, _ = _paths(tree)
+    A = design(tree, m)
+    b = np.array([100.0 * math.log(100.0 / c) for _, _, c in m.pairs()])
+    unit = [_with_lengths(tree, row) for row in np.eye(x0.size)]
+    tilt = np.array(
+        [[np.subtract(*endpoint_depths(node)) for node in t.chain_nodes()] for t in unit]
+    ).T
+    constraints = [{"type": "eq", "fun": lambda x: tilt @ x, "jac": lambda x: tilt}]
+    if not isinstance(tree.root, RootLink):
+        top = np.zeros(x0.size)
+        top[2] = 1.0  # the root chain comes first in pre-order: its width
+        width = tree.root.width
+        constraints.append({"type": "eq", "fun": lambda x: [top @ x - width], "jac": lambda x: [top]})
+    result = minimize(
+        lambda x: 0.5 * np.sum((A @ x - b) ** 2),
+        x0,
+        jac=lambda x: A.T @ (A @ x - b),
+        bounds=[(0.0, None)] * x0.size,
+        constraints=constraints,
+        method="SLSQP",
+        options={"ftol": 1e-14, "maxiter": 1000},
+    )
+    # status 8: no descent direction is left at working precision
+    assert result.status in (0, 8), result.message
+    return result.x
+
+
+class TestLevelWidthPolish:
+    @pytest.mark.parametrize("link", [True, False])
+    def test_polished_trees_are_horizontal_and_no_worse(self, link):
+        rng = np.random.default_rng(21 if link else 22)
+        for k in range(2, 31):
+            truth = horizontal_tree(rng, k, link)
+            for sd in (0.0, 2.0, 8.0):
+                m = noisy_matrix(rng, truth, sd)
+                starts = [truth]
+                if k > 2:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        starts.append(build_dendrogram(m)[0])
+                for start in starts:
+                    polished = redistribute_residuals(start, m)
+                    assert polished.topology_signature() == start.topology_signature()
+                    assert_horizontal_and_nonnegative(polished)
+                    assert tree_sse(polished, m) <= tree_sse(start, m) * (1 + 1e-12) + 1e-12
+                    assert redistribute_residuals(polished, m) == polished
+
+    def test_optimal_input_is_kept_to_the_bit(self):
+        # an optimum that differs from the solver's in the last bits is no
+        # improvement to act on, whatever the size of the sum of squares
+        rng = np.random.default_rng(28)
+        for k in range(20, 31):
+            m = noisy_matrix(rng, horizontal_tree(rng, k), 8.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                polished = redistribute_residuals(build_dendrogram(m)[0], m)
+            nudged = _with_lengths(polished, _paths(polished)[0] * (1.0 + 4e-16))
+            assert nudged != polished
+            assert redistribute_residuals(nudged, m) == nudged
+
+    def test_exact_horizontal_input_is_kept(self):
+        rng = np.random.default_rng(23)
+        for k in range(2, 31):
+            for link in (True, False):
+                truth = horizontal_tree(rng, k, link)
+                assert redistribute_residuals(truth, matrix_from_tree(truth)) == truth
+
+    @pytest.mark.parametrize("link", [True, False])
+    def test_level_width_design_rank(self, link):
+        # a root link makes every level and width identifiable; a chain at
+        # the root loses exactly one rank, its 2 * level + width
+        rng = np.random.default_rng(24 if link else 25)
+        for k in range(2, 31):
+            tree = random_tree(rng, k, link)
+            T = _level_width_map(tree)
+            rank = np.linalg.matrix_rank(design(tree, matrix_from_tree(tree)) @ T)
+            assert rank == T.shape[1] - (not link)
+
+    @pytest.mark.parametrize("link", [True, False])
+    def test_matches_slsqp_oracle(self, link):
+        rng = np.random.default_rng(26 if link else 27)
+        for k in range(2, 9):
+            for _ in range(3):
+                truth = horizontal_tree(rng, k, link)
+                m = noisy_matrix(rng, truth, 6.0)
+                polished = redistribute_residuals(truth, m)
+                np.testing.assert_allclose(
+                    _paths(polished)[0], slsqp_polish(truth, m), rtol=0.0, atol=1e-6
+                )
+
+    @pytest.mark.parametrize(
+        "table, node, depth", [("table1.csv", "n2", 10.039), ("table2.csv", "n4", 2.648)]
+    )
+    def test_cli_adjusted_tree_is_horizontal(self, data_dir, tmp_path, table, node, depth):
+        # these chains came out tilted when the polish fitted each divergence
+        # line separately (10.04 vs 0.00 and 2.65 vs 22.38)
+        from isolect.cli import main
+        from isolect.treeio import load_dendrogram
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["build", "--input", str(data_dir / table), "--out-dir", str(tmp_path)]) == 0
+        adjusted = load_dendrogram(tmp_path / "tree_adjusted.json")
+        assert_horizontal_and_nonnegative(adjusted)
+        chain = {n.id: n for n in adjusted.chain_nodes()}[node]
+        assert endpoint_depths(chain) == pytest.approx((depth, depth), abs=5e-4)
 
 
 def test_import_leaves_scipy_unloaded():
