@@ -67,8 +67,9 @@ def _write(path: Path, content: str) -> None:
 def _distance_table(m: CoincidenceMatrix) -> str:
     dm = distance_matrix(m)
     lines = ["language_a\tlanguage_b\tcoincidence\tdistance"]
-    for a, b, value in m.pairs():
-        lines.append(f"{a}\t{b}\t{value:.3f}\t{dm.value(a, b):.3f}")
+    distances = dm.values[np.triu_indices(m.k, 1)].tolist()
+    for (a, b, value), l in zip(m.pairs(), distances):
+        lines.append(f"{a}\t{b}\t{value:.3f}\t{l:.3f}")
     return "\n".join(lines) + "\n"
 
 
@@ -242,11 +243,8 @@ def cmd_compare_borrowings(args) -> int:
     )
     lines.append("")
     lines.append("pairwise distance change (excluded - included):")
-    deltas = []
-    for a, b, _ in m_all.pairs():
-        delta = dm_excl.value(a, b) - dm_all.value(a, b)
-        deltas.append(delta)
-        lines.append(f"  {a}\t{b}\t{delta:.3f}")
+    deltas = (dm_excl.values - dm_all.values)[np.triu_indices(m_all.k, 1)]
+    lines += [f"  {a}\t{b}\t{delta:.3f}" for (a, b, _), delta in zip(m_all.pairs(), deltas)]
     lines.append(
         f"  mean {np.mean(deltas):.3f}, min {np.min(deltas):.3f}, "
         f"max {np.max(deltas):.3f}"

@@ -187,47 +187,71 @@ def endpoint_depths(node: ChainNode) -> tuple:
 def _paths(d: Dendrogram):
     """The free lengths of ``d`` and the leaf-to-leaf paths through them.
 
-    Returns ``(values, paths)``. ``values`` is the free-length vector: for
+    Returns ``(values, D, S)``. ``values`` is the free-length vector: for
     each chain node in pre-order (``chain_nodes`` order) its left edge, right
-    edge and width, then the root-link length if there is one. ``paths`` maps
-    each frozenset leaf pair ``{a, b}`` to ``(up_a, meet, up_b)``: the indices
-    of the lengths from one leaf up to where the two paths meet, leaf side
-    first, the index of the width or root link crossed there, and the same
-    for the other leaf. A path crosses each divergence line once; it crosses
-    a chain's width only when it enters by one endpoint and leaves by the
-    other, that is at the chain where it meets or on the way up from the
-    endpoint opposite the attach side.
+    edge and width, then the root-link length if there is one. ``D`` is the
+    k x k matrix of path lengths between the leaves in ``leaves()`` order.
+    ``S`` is the k x len(values) boolean split matrix: ``S[i, l]`` says that
+    leaf ``i`` lies below length ``l``, so the path between leaves ``i`` and
+    ``j`` crosses ``l`` exactly when ``S[i, l] != S[j, l]``. A path crosses
+    each divergence line once; it crosses a chain's width only when it
+    enters by one endpoint and leaves by the other, that is at the chain
+    where it meets or on the way up from the endpoint opposite the attach
+    side, so the leaves below a width are those on that side.
+
+    Each path is summed from both of its leaves up to where they meet, and
+    the two sides are joined as ``(up_a + meet) + up_b``, which fixes the
+    rounding of every distance independently of the layout.
     """
+    k = len(d.leaves())
+    link = isinstance(d.root, RootLink)
     values = []
-    paths = {}
+    D = np.zeros((k, k))
+    S = np.zeros((k, 3 * len(d.chain_nodes()) + link), dtype=bool)
 
-    def meet(up_a, index, up_b):
-        for a, ia in up_a.items():
-            for b, ib in up_b.items():
-                paths[frozenset((a, b))] = (ia, index, ib)
+    def meet(lo, up_a, length, up_b):
+        """Fill in the pairs that meet at ``length``; return where each side ends."""
+        mid, hi = lo + up_a.size, lo + up_a.size + up_b.size
+        D[lo:mid, mid:hi] = (up_a[:, None] + length) + up_b[None, :]
+        D[mid:hi, lo:mid] = D[lo:mid, mid:hi].T
+        return mid, hi
 
-    def up(node):
-        """Indices from each leaf below ``node`` up to its attach endpoint."""
+    def up(node, lo):
+        """Lengths from each leaf below ``node`` (leaves ``lo`` on) up to its attach endpoint."""
         if isinstance(node, Leaf):
-            return {node.label: ()}
+            return np.zeros(1)
         base = len(values)
         values.extend((node.left_edge, node.right_edge, node.width))
-        left = {x: ix + (base,) for x, ix in up(node.left).items()}
-        right = {x: ix + (base + 1,) for x, ix in up(node.right).items()}
-        meet(left, base + 2, right)
+        left = up(node.left, lo) + node.left_edge
+        right = up(node.right, lo + left.size) + node.right_edge
+        mid, hi = meet(lo, left, node.width, right)
+        S[lo:mid, base] = S[mid:hi, base + 1] = True
         if node.attach_side == "left":
-            right = {x: ix + (base + 2,) for x, ix in right.items()}
+            S[mid:hi, base + 2] = True
+            right = right + node.width
         else:
-            left = {x: ix + (base + 2,) for x, ix in left.items()}
-        return {**left, **right}
+            S[lo:mid, base + 2] = True
+            left = left + node.width
+        return np.concatenate((left, right))
 
-    if isinstance(d.root, RootLink):
-        left, right = up(d.root.left), up(d.root.right)
+    if link:
+        left = up(d.root.left, 0)
+        right = up(d.root.right, left.size)
         values.append(d.root.length)
-        meet(left, len(values) - 1, right)
+        S[: meet(0, left, d.root.length, right)[0], -1] = True
     else:
-        up(d.root)
-    return np.array(values), paths
+        up(d.root, 0)
+    return np.array(values), D, S
+
+
+def _leaf_positions(d: Dendrogram, labels) -> np.ndarray:
+    """Position in ``d.leaves()`` of each of ``labels``, which must be the tree's labels."""
+    leaves = d.leaves()
+    if set(leaves) != set(labels):
+        diff = sorted(set(leaves).symmetric_difference(labels))
+        raise DomainError(f"tree and matrix label sets differ: {diff}")
+    position = {label: i for i, label in enumerate(leaves)}
+    return np.array([position[label] for label in labels], dtype=np.intp)
 
 
 def _with_lengths(d: Dendrogram, values) -> Dendrogram:
@@ -255,20 +279,11 @@ def _with_lengths(d: Dendrogram, values) -> Dendrogram:
 
 def leaf_distances(d: Dendrogram) -> dict:
     """All pairwise leaf-to-leaf path distances, keyed by frozenset pairs."""
-    values, paths = _paths(d)
-    values = values.tolist()
-
-    # each side is summed from its leaf up before the two are joined, which
-    # fixes the rounding of every distance independently of the index order
-    def climb(indices):
-        total = 0.0
-        for i in indices:
-            total += values[i]
-        return total
-
+    labels, rows = d.leaves(), _paths(d)[1].tolist()
     return {
-        pair: climb(up_a) + values[meet] + climb(up_b)
-        for pair, (up_a, meet, up_b) in paths.items()
+        frozenset((a, b)): rows[i][j]
+        for i, a in enumerate(labels)
+        for j, b in enumerate(labels[i + 1 :], i + 1)
     }
 
 
@@ -278,22 +293,16 @@ def path_distance(d: Dendrogram, leaf_a: str, leaf_b: str) -> float:
     for name in (leaf_a, leaf_b):
         if name not in labels:
             raise DomainError(f"unknown leaf {name!r}; tree has {sorted(labels)}")
-    if leaf_a == leaf_b:
-        return 0.0
-    return leaf_distances(d)[frozenset((leaf_a, leaf_b))]
+    return float(_paths(d)[1][labels.index(leaf_a), labels.index(leaf_b)])
 
 
 def theoretical_matrix(d: Dendrogram, list_size: int = 100) -> CoincidenceMatrix:
     """Coincidence matrix implied by the tree's path distances."""
     labels = d.leaves()
-    k = len(labels)
-    values = np.full((k, k), np.nan)
-    if k > 1:
-        pairs = leaf_distances(d)
-        for i in range(k):
-            for j in range(i + 1, k):
-                l = pairs[frozenset((labels[i], labels[j]))]
-                values[i, j] = values[j, i] = coincidence_from_distance(l)
+    values = np.full((len(labels), len(labels)), np.nan)
+    upper = np.triu_indices(len(labels), 1)
+    values[upper] = [coincidence_from_distance(l) for l in _paths(d)[1][upper].tolist()]
+    values.T[upper] = values[upper]
     return CoincidenceMatrix(labels, values, list_size=list_size)
 
 
@@ -390,15 +399,11 @@ def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:
 
     Residuals are theoretical minus measured; RMS is taken over all pairs.
     """
-    tree_labels = set(d.leaves())
-    matrix_labels = set(measured.labels)
-    if tree_labels != matrix_labels:
-        diff = sorted(tree_labels.symmetric_difference(matrix_labels))
-        raise DomainError(f"tree and matrix label sets differ: {diff}")
+    at = _leaf_positions(d, measured.labels)
     pairs = list(itertools.combinations(measured.labels, 2))  # row-major, i < j
-    c_meas = measured.values[np.triu_indices(measured.k, 1)].tolist()
-    dists = leaf_distances(d)
-    l_theo = [dists[frozenset(pair)] for pair in pairs]
+    rows, cols = np.triu_indices(measured.k, 1)
+    c_meas = measured.values[rows, cols].tolist()
+    l_theo = _paths(d)[1][at[rows], at[cols]].tolist()
     # the scalar conversions are kept: np.log and np.exp differ from them in
     # the last bit on some inputs
     l_meas = [100.0 * math.log(100.0 / c) for c in c_meas]

@@ -30,7 +30,6 @@ of Lawson & Hanson (1974, ch. 23), one small nonnegative least-squares
 problem, and its optimum is unique.
 """
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ from .dendrogram import (
     Dendrogram,
     Leaf,
     RootLink,
+    _leaf_positions,
     _paths,
     _with_lengths,
     root_variants,
@@ -175,89 +175,65 @@ def three_language_tree(
     return Dendrogram(RootLink(length=stem, left=node, right=Leaf(c)))
 
 
-class _Item:
-    """An active point of the agglomeration: a leaf or a built node."""
-
-    __slots__ = ("uid", "node", "depth", "key")
-
-    def __init__(self, uid, node, depth, key):
-        self.uid = uid
-        self.node = node
-        self.depth = depth
-        self.key = key
-
-
 def build_dendrogram(m: CoincidenceMatrix) -> tuple:
     """Greedy reconstruction of the whole system from a coincidence matrix.
 
     Returns ``(dendrogram, steps)`` where ``steps`` records one ``JoinStep``
     per created chain node in creation order. Requires at least two
     languages; with exactly two the result is a bare root link and no steps.
+    Ties in distance go to the pair with the smaller key, then the smaller
+    other key, where a leaf's key is its label and a chain's is the smaller
+    key of the two points it joins.
     """
     if m.k < 2:
         raise DomainError(f"need at least 2 languages to reconstruct, got {m.k}")
     dm = distance_matrix(m)
 
-    items = [_Item(label, Leaf(label), 0.0, label) for label in dm.labels]
-    dist = {}
-    for i, a in enumerate(dm.labels):
-        for j in range(i + 1, len(dm.labels)):
-            dist[frozenset((a, dm.labels[j]))] = float(dm.values[i, j])
+    # one slot per active point, in key order: a chain takes the slot of its
+    # smaller-key child, so the first minimum of the symmetric array (inf on
+    # the diagonal and on retired slots) breaks ties by key
+    by_key = sorted(range(dm.k), key=dm.labels.__getitem__)
+    dist = dm.values[by_key][:, by_key]
+    np.fill_diagonal(dist, np.inf)
+    uid = [dm.labels[i] for i in by_key]
+    nodes = [Leaf(label) for label in uid]
+    depth = [0.0] * dm.k
+    # observers in input label order, new nodes appended: this order fixes
+    # the rounding of the mean signed difference and the order of warnings
+    active = sorted(range(dm.k), key=by_key.__getitem__)
 
     steps = []
-    counter = 0
-    while len(items) > 2:
-        u, v = min(
-            itertools.combinations(items, 2),
-            key=lambda p: (
-                dist[frozenset((p[0].uid, p[1].uid))],
-                min(p[0].key, p[1].key),
-                max(p[0].key, p[1].key),
-            ),
-        )
-        if u.key > v.key:
-            u, v = v, u
-        l_pair = dist[frozenset((u.uid, v.uid))]
-        observers = [it for it in items if it is not u and it is not v]
-        diffs = [
-            dist[frozenset((u.uid, it.uid))] - dist[frozenset((v.uid, it.uid))]
-            for it in observers
-        ]
+    while len(active) > 2:
+        u, v = divmod(int(np.argmin(dist)), dm.k)  # u < v: the first minimum is above the diagonal
+        l_pair = float(dist[u, v])
+        observers = [s for s in active if s != u and s != v]
+        to_u, to_v = dist[u, observers], dist[v, observers]
+        diffs = (to_u - to_v).tolist()
         dbar = sum(diffs) / len(diffs)
-        correction = u.depth - v.depth
+        correction = depth[u] - depth[v]
         signed_width = dbar + correction
         width = abs(signed_width)
         # positive signed width: u lies horizontally farther from the rest,
         # so future attachments happen at v's endpoint
         attach_side = "right" if signed_width >= 0.0 else "left"
 
-        level = (l_pair - width + u.depth + v.depth) / 2.0
-        level = max(level, u.depth, v.depth)
-        left_vertical = level - u.depth
-        right_vertical = level - v.depth
+        level = (l_pair - width + depth[u] + depth[v]) / 2.0
+        level = max(level, depth[u], depth[v])
+        left_vertical = level - depth[u]
+        right_vertical = level - depth[v]
         path_residual = (left_vertical + width + right_vertical) - l_pair
         if path_residual > 1e-9:
             warnings.warn(
-                f"join of ({u.uid}, {v.uid}) contradicts the built geometry; "
+                f"join of ({uid[u]}, {uid[v]}) contradicts the built geometry; "
                 f"verticals clamped, path excess {path_residual:.3f} swadesh",
                 stacklevel=2,
             )
 
-        counter += 1
-        node_id = f"n{counter}"
-        node = ChainNode(
-            id=node_id,
-            width=width,
-            left=u.node,
-            right=v.node,
-            left_edge=left_vertical,
-            right_edge=right_vertical,
-            attach_side=attach_side,
-        )
+        node_id = f"n{len(steps) + 1}"
         steps.append(
             JoinStep(
                 node_id=node_id,
-                pair=(u.uid, v.uid),
+                pair=(uid[u], uid[v]),
                 pair_distance=l_pair,
                 mean_signed_difference=dbar,
                 depth_correction=correction,
@@ -267,31 +243,36 @@ def build_dendrogram(m: CoincidenceMatrix) -> tuple:
                 right_vertical=right_vertical,
                 orientation=attach_side,
                 observer_residuals=tuple(
-                    (it.uid, diff - dbar) for it, diff in zip(observers, diffs)
+                    (uid[s], diff - dbar) for s, diff in zip(observers, diffs)
                 ),
                 path_residual=max(0.0, path_residual),
             )
         )
 
-        new_item = _Item(node_id, node, level, min(u.key, v.key))
-        for it in observers:
-            stem = (
-                dist[frozenset((u.uid, it.uid))]
-                + dist[frozenset((v.uid, it.uid))]
-                - l_pair
-            ) / 2.0
+        stems = (to_u + to_v - l_pair) / 2.0
+        for s, stem in zip(observers, stems.tolist()):
             if stem < 0.0:
                 warnings.warn(
-                    f"negative stem distance from {node_id} to {it.uid} clamped to 0",
+                    f"negative stem distance from {node_id} to {uid[s]} clamped to 0",
                     stacklevel=2,
                 )
-                stem = 0.0
-            dist[frozenset((node_id, it.uid))] = stem
-        items = observers + [new_item]
+        np.maximum(stems, 0.0, out=stems)
+        dist[u, observers] = dist[observers, u] = stems
+        dist[v, :] = dist[:, v] = np.inf
+        nodes[u] = ChainNode(
+            id=node_id,
+            width=width,
+            left=nodes[u],
+            right=nodes[v],
+            left_edge=left_vertical,
+            right_edge=right_vertical,
+            attach_side=attach_side,
+        )
+        uid[u], depth[u] = node_id, level
+        active = observers + [u]
 
-    a, b = sorted(items, key=lambda it: it.key)
-    length = dist[frozenset((a.uid, b.uid))]
-    tree = Dendrogram(RootLink(length=length, left=a.node, right=b.node))
+    a, b = sorted(active)
+    tree = Dendrogram(RootLink(length=float(dist[a, b]), left=nodes[a], right=nodes[b]))
     return tree, tuple(steps)
 
 
@@ -347,12 +328,8 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     Returns the input tree unchanged when the sum of squares does not
     improve.
     """
-    tree_labels = set(d.leaves())
-    matrix_labels = set(measured.labels)
-    if tree_labels != matrix_labels:
-        diff = sorted(tree_labels.symmetric_difference(matrix_labels))
-        raise DomainError(f"tree and matrix label sets differ: {diff}")
-    x0, paths = _paths(d)
+    at = _leaf_positions(d, measured.labels)
+    x0, _, S = _paths(d)
     if x0.size == 0:
         return d
     # deferred: commands that never polish skip their import cost
@@ -360,17 +337,21 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     import scipy.optimize
     import scipy.sparse
 
-    crossed, rhs = [], []
-    for a, b, c in measured.pairs():
-        up_a, meet, up_b = paths[frozenset((a, b))]
-        crossed.append(up_a + (meet,) + up_b)
-        rhs.append(100.0 * math.log(100.0 / c))
-    indptr = np.cumsum([0] + [len(path) for path in crossed])
-    indices = np.fromiter(itertools.chain.from_iterable(crossed), np.intp, indptr[-1])
+    # one row per pair in measured.pairs() order, one column per free length:
+    # S[i] ^ S[j] marks the lengths that separate leaves i and j. The pairs
+    # are taken one first leaf at a time, so no dense pairs x lengths array
+    # is held
+    counts, indices = [], []
+    for i, a in enumerate(at[:-1]):
+        crossed = S[a] ^ S[at[i + 1 :]]
+        counts.extend(np.count_nonzero(crossed, axis=1).tolist())
+        indices.append(np.nonzero(crossed)[1])
+    indptr = np.cumsum([0] + counts)
     design = scipy.sparse.csr_array(
-        (np.ones(indptr[-1]), indices, indptr), shape=(len(crossed), x0.size)
+        (np.ones(indptr[-1]), np.concatenate(indices), indptr), shape=(len(counts), x0.size)
     )
-    rhs = np.array(rhs)
+    rows, cols = np.triu_indices(measured.k, 1)
+    rhs = np.array([100.0 * math.log(100.0 / c) for c in measured.values[rows, cols].tolist()])
 
     T = _level_width_map(d)
     held = np.zeros(x0.size)

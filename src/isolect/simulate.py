@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dendrogram import Dendrogram, Leaf, RootLink, leaf_distances, theoretical_matrix
+from .dendrogram import Dendrogram, Leaf, RootLink, _leaf_positions, _paths, theoretical_matrix
 from .errors import DomainError
 from .lexstat import CognacyTable, _coincidence_from_classes
 from .reconstruct import build_dendrogram, redistribute_residuals
@@ -191,12 +191,8 @@ def _compare_lengths(truth: Dendrogram, recon: Dendrogram) -> float:
 
 
 def _max_path_error(truth: Dendrogram, recon: Dendrogram) -> float:
-    true_paths = leaf_distances(truth)
-    recon_paths = leaf_distances(recon)
-    return max(
-        (abs(true_paths[pair] - recon_paths[pair]) for pair in true_paths),
-        default=0.0,
-    )
+    at = _leaf_positions(recon, truth.leaves())
+    return float(np.max(np.abs(_paths(truth)[1] - _paths(recon)[1][at][:, at])))
 
 
 def recovery_trial(cfg: SimulationConfig, analytic: bool = False) -> RecoveryReport:

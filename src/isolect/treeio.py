@@ -205,35 +205,52 @@ def dendrogram_to_dict(d: Dendrogram) -> dict:
     return {"format": "isolect-dendrogram", "version": 1, "root": root}
 
 
+def _field(data: dict, key: str, source: str, what: str, convert=lambda value: value):
+    """``convert(data[key])``, or an ``InputFormatError`` naming the file and the key."""
+    try:
+        return convert(data[key])
+    except KeyError:
+        raise InputFormatError(f"{source}: {what} is missing key {key!r}") from None
+    except (TypeError, ValueError):
+        raise InputFormatError(f"{source}: {what} has bad {key!r} value {data[key]!r}") from None
+
+
 def _node_from_dict(data: dict, source: str):
+    if not isinstance(data, dict):
+        raise InputFormatError(f"{source}: tree node must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind == "leaf":
-        return Leaf(str(data["label"]))
+        return Leaf(_field(data, "label", source, "leaf", str))
     if kind == "chain":
+        what = f"chain {data.get('id')!r}"
         return ChainNode(
-            id=str(data["id"]),
-            width=float(data["width"]),
-            left=_node_from_dict(data["left"], source),
-            right=_node_from_dict(data["right"], source),
-            left_edge=float(data["left_edge"]),
-            right_edge=float(data["right_edge"]),
-            attach_side=str(data["attach_side"]),
+            id=_field(data, "id", source, what, str),
+            width=_field(data, "width", source, what, float),
+            left=_node_from_dict(_field(data, "left", source, what), source),
+            right=_node_from_dict(_field(data, "right", source, what), source),
+            left_edge=_field(data, "left_edge", source, what, float),
+            right_edge=_field(data, "right_edge", source, what, float),
+            attach_side=_field(data, "attach_side", source, what, str),
         )
     raise InputFormatError(f"{source}: unknown node kind {kind!r}")
 
 
 def dendrogram_from_dict(data: dict, source: str = "<dict>") -> Dendrogram:
-    if data.get("format") != "isolect-dendrogram":
+    if not isinstance(data, dict) or data.get("format") != "isolect-dendrogram":
         raise InputFormatError(f"{source}: not an isolect dendrogram document")
-    root = data["root"]
-    if root.get("kind") == "root_link":
-        fraction = root.get("fraction")
+    root = _field(data, "root", source, "document")
+    if isinstance(root, dict) and root.get("kind") == "root_link":
+        what = "root link"
+        variant = root.get("variant")
+        fraction = None
+        if variant == "parametrized" or root.get("fraction") is not None:
+            fraction = _field(root, "fraction", source, what, float)
         link = RootLink(
-            length=float(root["length"]),
-            left=_node_from_dict(root["left"], source),
-            right=_node_from_dict(root["right"], source),
-            variant=root.get("variant"),
-            fraction=None if fraction is None else float(fraction),
+            length=_field(root, "length", source, what, float),
+            left=_node_from_dict(_field(root, "left", source, what), source),
+            right=_node_from_dict(_field(root, "right", source, what), source),
+            variant=variant,
+            fraction=fraction,
         )
         return Dendrogram(link)
     return Dendrogram(_node_from_dict(root, source))

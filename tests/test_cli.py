@@ -6,7 +6,7 @@ import math
 import pytest
 
 from isolect.cli import main
-from isolect.treeio import load_dendrogram, write_cognacy_table
+from isolect.treeio import dendrogram_to_dict, load_dendrogram, write_cognacy_table
 from isolect import theoretical_matrix
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -215,3 +215,35 @@ class TestRender:
     def test_missing_file_exits_nonzero(self, tmp_path):
         code = run("render", "--input", tmp_path / "nope.json", "--out-dir", tmp_path / "o")
         assert code == 1
+
+
+def malformed_tree_document(tree, case):
+    """A document of ``tree`` broken in one way, and the text its error must carry."""
+    doc = dendrogram_to_dict(tree)
+    if case == "chain-without-width":
+        del doc["root"]["left"]["width"]
+        return doc, "chain 'n1' is missing key 'width'"
+    if case == "no-root":
+        del doc["root"]
+        return doc, "document is missing key 'root'"
+    if case == "parametrized-without-fraction":
+        doc["root"]["variant"] = "parametrized"
+        return doc, "root link has bad 'fraction' value None"
+    return [doc], "not an isolect dendrogram document"
+
+
+class TestMalformedTree:
+    @pytest.mark.parametrize(
+        "case", ["chain-without-width", "no-root", "list", "parametrized-without-fraction"]
+    )
+    @pytest.mark.parametrize("command", ["render", "simulate"])
+    def test_exits_2_naming_file_and_key(self, tmp_path, capsys, fig4_tree, command, case):
+        doc, expected = malformed_tree_document(fig4_tree, case)
+        (tmp_path / "bad_tree.json").write_text(json.dumps(doc))
+        source = tmp_path / "bad_tree.json"
+        if command == "simulate":
+            source = tmp_path / "cfg.json"
+            source.write_text(json.dumps({"tree": "bad_tree.json", "slots": 10, "seed": 1}))
+        assert run(command, "--input", source, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "bad_tree.json" in err and expected in err

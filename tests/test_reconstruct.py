@@ -1,7 +1,9 @@
 """Closed forms, greedy construction, residual redistribution, root variants."""
 
+import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -49,6 +51,30 @@ def matrix_from_distances(labels, dist) -> CoincidenceMatrix:
 
 def matrix_from_tree(tree) -> CoincidenceMatrix:
     return matrix_from_distances(tree.leaves(), leaf_distances(tree))
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def tie_heavy_matrices(count=60, seed=7):
+    """Seeded 3-12-language matrices of integer coincidences from a narrow range.
+
+    Many distances tie, and the labels come in shuffled order, so input
+    order and sorted label order differ.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randrange(3, 13)
+        labels = [f"{rng.choice('abcdefgh')}{i}" for i in range(k)]
+        rng.shuffle(labels)
+        values = np.full((k, k), np.nan)
+        for i in range(k):
+            for j in range(i + 1, k):
+                values[i, j] = values[j, i] = float(rng.randrange(60, 64))
+        out.append(CoincidenceMatrix(labels, values))
+    return out
 
 
 class TestTwoLanguageFamily:
@@ -233,6 +259,66 @@ class TestBuildDendrogram:
             tree_b, steps_b = build_dendrogram(table1)
         assert steps_a == steps_b
         assert tree_a == tree_b
+
+    def test_leaf_labels_like_node_ids(self, table1, table2):
+        # chain ids n1, n2, ... name built points in the join log; a leaf
+        # that carries such a label must keep its own distances
+        def geometry(m):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                tree, steps = build_dendrogram(m)
+            fields = [
+                (s.pair_distance, s.mean_signed_difference, s.chain_width,
+                 s.left_vertical, s.right_vertical, s.orientation)
+                for s in steps
+            ]
+            return fields, tree.root.length
+
+        for m in (table1, table2):
+            # renamed in sorted order, so that ties break the same way
+            rank = {x: f"n{i}" for i, x in enumerate(sorted(m.labels))}
+            renamed = CoincidenceMatrix([rank[x] for x in m.labels], m.values, m.list_size)
+            assert geometry(renamed) == geometry(m)
+
+    @pytest.mark.parametrize(
+        "case, tree_digest, warning_digest",
+        [
+            (
+                "table1",
+                "4014f0cfd9188afa5b0859e8f854cd0f6b9d0dabe20684053ef3a08486d8ebb8",
+                "b7dee9d5d9c632034fdde1811b8fce3db0eae025e9d4718f8188b8737e6c14fb",
+            ),
+            (
+                "table2",
+                "88263763a8f8dabda2ae61fcc957f3f43efa1722e42e08f304c12853fffb1bbf",
+                "1e8a41ac1755224d3a3cd4ebbb65bf47234e88db2ac31cf2b2412362dd2903f8",
+            ),
+            (
+                "ties",
+                "5e709acbf8d93465bf192d85c255853b032e37e40bc5483819d3dfc7a33de90c",
+                "277f6b5832fe202cf299730df6e95d9d312deeb046b872b6c7af63ecf5bcd369",
+            ),
+        ],
+    )
+    def test_tie_break_pinned(self, table1, table2, case, tree_digest, warning_digest):
+        # digests of the join logs and clamp warnings as the builder produced
+        # them when it took the minimum of (distance, smaller key, larger key)
+        # over every pair of active items; rounded tables and small integer
+        # matrices tie on many distances, and the shuffled labels make input
+        # order differ from key order
+        if case == "ties":
+            matrices = tie_heavy_matrices()
+        else:
+            m = {"table1": table1, "table2": table2}[case]
+            matrices = [CoincidenceMatrix(m.labels, np.round(m.values), m.list_size)]
+        logs, messages = [], []
+        for m in matrices:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                logs.append(repr(build_dendrogram(m)))
+            messages.append([str(w.message) for w in caught])
+        assert sha256("\n".join(logs)) == tree_digest
+        assert sha256(repr(messages)) == warning_digest
 
     def test_exact_recovery_two_cherries(self, two_cherry_tree):
         m = matrix_from_tree(two_cherry_tree)
@@ -443,30 +529,34 @@ class TestPathWalk:
         for k in range(2, 31):
             tree = random_tree(rng, k, link)
             sides.update(node.attach_side for node in tree.chain_nodes())
-            values, paths = _paths(tree)
+            values, D, S = _paths(tree)
             assert values.size == 3 * len(tree.chain_nodes()) + link
             assert _with_lengths(tree, values) == tree
             shifted = values + np.arange(values.size)
             assert np.array_equal(_paths(_with_lengths(tree, shifted))[0], shifted)
 
-            dists = leaf_distances(tree)
-            assert dists == reference_distances(tree)
-            assert set(paths) == set(dists)
-            assert len(paths) == k * (k - 1) // 2
-            design = np.zeros((len(paths), values.size))
-            for row, (up_a, meet, up_b) in enumerate(paths.values()):
-                crossed = up_a + (meet,) + up_b
-                assert len(set(crossed)) == len(crossed)
-                design[row, list(crossed)] = 1.0
-            expected = [dists[pair] for pair in paths]
-            np.testing.assert_allclose(design @ values, expected, rtol=0.0, atol=1e-9)
+            labels = tree.leaves()
+            reference = reference_distances(tree)
+            expected = np.zeros((k, k))
+            for i, a in enumerate(labels):
+                for j, b in enumerate(labels):
+                    if i != j:
+                        expected[i, j] = reference[frozenset((a, b))]
+            assert np.array_equal(D, expected)
+            assert leaf_distances(tree) == reference
+            assert S.shape == (k, values.size) and S.dtype == bool
+            rows, cols = np.triu_indices(k, 1)
+            crossed = S[rows] ^ S[cols]
+            np.testing.assert_allclose(crossed @ values, D[rows, cols], rtol=0.0, atol=1e-9)
+            assert np.array_equal(crossed, design(tree, matrix_from_tree(tree)))
         assert sides == {"left", "right"}
 
     def test_single_leaf_has_no_lengths(self):
         tree = Dendrogram(Leaf("only"))
-        values, paths = _paths(tree)
+        values, D, S = _paths(tree)
         assert values.size == 0
-        assert paths == {}
+        assert D.tolist() == [[0.0]]
+        assert S.shape == (1, 0)
         assert _with_lengths(tree, values) == tree
 
     def test_walk_orders_on_fixed_tree(self):
@@ -539,13 +629,15 @@ def assert_horizontal_and_nonnegative(tree):
 
 
 def design(tree, m) -> np.ndarray:
-    """The dense 0/1 path design of ``tree``, one row per pair of ``m``."""
-    values, paths = _paths(tree)
-    out = np.zeros((m.k * (m.k - 1) // 2, values.size))
-    for row, (a, b, _) in enumerate(m.pairs()):
-        up_a, meet, up_b = paths[frozenset((a, b))]
-        out[row, list(up_a + (meet,) + up_b)] = 1.0
-    return out
+    """The dense 0/1 path design of ``tree``, one row per pair of ``m``.
+
+    Column ``l`` holds the path lengths of the tree with length ``l`` set to
+    1 and every other length to 0, so the design does not rest on the split
+    matrix of ``_paths``.
+    """
+    units = np.eye(_paths(tree)[0].size)
+    columns = [leaf_distances(_with_lengths(tree, unit)) for unit in units]
+    return np.array([[column[frozenset((a, b))] for column in columns] for a, b, _ in m.pairs()])
 
 
 def slsqp_polish(tree, m) -> np.ndarray:
@@ -558,7 +650,7 @@ def slsqp_polish(tree, m) -> np.ndarray:
     """
     from scipy.optimize import minimize
 
-    x0, _ = _paths(tree)
+    x0 = _paths(tree)[0]
     A = design(tree, m)
     b = np.array([100.0 * math.log(100.0 / c) for _, _, c in m.pairs()])
     unit = [_with_lengths(tree, row) for row in np.eye(x0.size)]

@@ -162,6 +162,18 @@ class TestTreeDocuments:
         with pytest.raises(InputFormatError, match="not an isolect dendrogram"):
             dendrogram_from_dict({"format": "something-else"})
 
+    def test_bad_length_value_named(self, fig4_tree):
+        doc = dendrogram_to_dict(fig4_tree)
+        doc["root"]["left"]["left_edge"] = "deep"
+        with pytest.raises(InputFormatError, match="chain 'n1' has bad 'left_edge' value 'deep'"):
+            dendrogram_from_dict(doc, source="t.json")
+
+    def test_non_object_node_rejected(self, fig4_tree):
+        doc = dendrogram_to_dict(fig4_tree)
+        doc["root"]["right"] = 3
+        with pytest.raises(InputFormatError, match="tree node must be a JSON object"):
+            dendrogram_from_dict(doc, source="t.json")
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
