@@ -154,6 +154,16 @@ def _describe_tree(tree: Dendrogram, steps) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _signed(value: float) -> str:
+    """``value`` at 3 decimals, with no sign on a value that rounds to zero.
+
+    A residual of rounding size keeps its sign through the rounding, so
+    without this the text would depend on the last bits of the fit.
+    """
+    text = f"{value:.3f}"
+    return "0.000" if text == "-0.000" else text
+
+
 def _fit_text(tree: Dendrogram, m: CoincidenceMatrix) -> str:
     report = fit_report(tree, m)
     lines = [
@@ -163,9 +173,9 @@ def _fit_text(tree: Dendrogram, m: CoincidenceMatrix) -> str:
     for row in report.pairs:
         lines.append(
             f"{row.pair[0]}\t{row.pair[1]}\t{row.measured_distance:.3f}"
-            f"\t{row.theoretical_distance:.3f}\t{row.residual_distance:.3f}"
+            f"\t{row.theoretical_distance:.3f}\t{_signed(row.residual_distance)}"
             f"\t{row.measured_coincidence:.3f}\t{row.theoretical_coincidence:.3f}"
-            f"\t{row.residual_coincidence:.3f}"
+            f"\t{_signed(row.residual_coincidence)}"
         )
     lines.append("")
     lines.append(f"rms residual (swadesh): {report.rms_distance:.3f}")

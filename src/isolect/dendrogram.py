@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, IsolectError
-from .lexstat import CoincidenceMatrix, coincidence_from_distance
+from .lexstat import CoincidenceMatrix, _distance_values, coincidence_from_distance
 
 __all__ = [
     "ChainNode",
@@ -403,10 +403,10 @@ def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:
     pairs = list(itertools.combinations(measured.labels, 2))  # row-major, i < j
     rows, cols = np.triu_indices(measured.k, 1)
     c_meas = measured.values[rows, cols].tolist()
+    l_meas = _distance_values(measured)[rows, cols].tolist()
     l_theo = _paths(d)[1][at[rows], at[cols]].tolist()
-    # the scalar conversions are kept: np.log and np.exp differ from them in
-    # the last bit on some inputs
-    l_meas = [100.0 * math.log(100.0 / c) for c in c_meas]
+    # the scalar conversion is kept: np.exp differs from it in the last bit
+    # on some inputs
     c_theo = [coincidence_from_distance(l) for l in l_theo]
     res_l = np.subtract(l_theo, l_meas)
     res_c = np.subtract(c_theo, c_meas)

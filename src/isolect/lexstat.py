@@ -160,17 +160,33 @@ class DistanceMatrix:
                 yield self.labels[i], self.labels[j], float(self.values[i, j])
 
 
+def _distance_values(m: CoincidenceMatrix) -> np.ndarray:
+    """The k x k swadesh distances of ``m``'s coincidences, zero on the diagonal.
+
+    Every entry comes from the scalar formula of ``distance_from_coincidence``
+    (``np.log`` differs from ``math.log`` in the last bit on some inputs). The
+    domain check runs on the whole upper triangle first and names the first
+    bad pair in row-major order.
+    """
+    rows, cols = np.triu_indices(m.k, 1)
+    upper = m.values[rows, cols]
+    in_domain, rule = _DOMAINS["coincidence"]
+    with np.errstate(invalid="ignore"):
+        bad = np.flatnonzero(~(np.isfinite(upper) & in_domain(upper)))
+    if bad.size:
+        first = bad[0]
+        raise DomainError(
+            f"pair ({m.labels[rows[first]]}, {m.labels[cols[first]]}): "
+            f"coincidence {rule}, got {upper[first]!r}"
+        )
+    out = np.zeros((m.k, m.k))
+    out[rows, cols] = [100.0 * math.log(100.0 / c) for c in upper.tolist()]
+    return out + out.T
+
+
 def distance_matrix(m: CoincidenceMatrix) -> DistanceMatrix:
     """Convert every off-diagonal coincidence entry to a swadesh distance."""
-    k = m.k
-    out = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            try:
-                out[i, j] = out[j, i] = distance_from_coincidence(m.values[i, j])
-            except DomainError as exc:
-                raise DomainError(f"pair ({m.labels[i]}, {m.labels[j]}): {exc}") from None
-    return DistanceMatrix(m.labels, out)
+    return DistanceMatrix(m.labels, _distance_values(m))
 
 
 @dataclass(frozen=True)

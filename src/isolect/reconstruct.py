@@ -27,7 +27,9 @@ every divergence line is a level difference and chains stay horizontal. The
 constraint that no length is negative makes it an inequality-constrained
 least-squares problem; it is solved exactly through the least-distance dual
 of Lawson & Hanson (1974, ch. 23), one small nonnegative least-squares
-problem, and its optimum is unique.
+problem, and its optimum is unique. The solver is in the package and needs
+numpy alone: the normal equations are counted from the tree's split matrix,
+and the dual goes to the Lawson-Hanson active-set method (``_nnls``).
 """
 
 import math
@@ -47,7 +49,7 @@ from .dendrogram import (
     root_variants,
 )
 from .errors import DomainError
-from .lexstat import CoincidenceMatrix, distance_matrix
+from .lexstat import CoincidenceMatrix, _distance_values, distance_matrix
 
 __all__ = [
     "JoinStep",
@@ -304,6 +306,43 @@ def _level_width_map(d: Dendrogram) -> np.ndarray:
     return T
 
 
+def _nnls(E: np.ndarray, f: np.ndarray, maxiter: int = None) -> np.ndarray:
+    """Nonnegative least squares: the ``u >= 0`` that minimizes ``|E u - f|``.
+
+    The active-set method of Lawson & Hanson (1974, ch. 23). Each passive-set
+    subproblem is solved on the columns of ``E`` themselves, not on ``E^T E``,
+    whose condition number is the square of theirs, and the gradient is taken
+    in data space. The tolerance follows ``scipy.optimize.nnls``, and so does
+    the cap of ``3 n`` iterations (``n`` the column count), counted here as
+    passive-set solves; reaching it raises ``RuntimeError``.
+    """
+    m, n = E.shape
+    tol = 10.0 * np.finfo(float).eps * max(m, n) * np.linalg.norm(E, 1)
+    maxiter = 3 * n if maxiter is None else maxiter
+    u = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    w = E.T @ f
+    solves = 0
+    while not passive.all() and w[~passive].max() > tol:
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        while True:
+            solves += 1
+            if solves > maxiter:
+                raise RuntimeError(f"nonnegative least squares did not converge in {maxiter} solves")
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(E[:, passive], f, rcond=None)[0]
+            blocking = passive & (s < 0.0)
+            if not blocking.any():
+                break
+            # step from u towards s until the first passive entry reaches zero
+            alpha = np.min(u[blocking] / (u[blocking] - s[blocking]))
+            u += alpha * (s - u)
+            passive &= u > tol
+        u = s
+        w = E.T @ (f - E @ u)
+    return u
+
+
 def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendrogram:
     """Spread measurement contradictions over the levels and widths of the chains.
 
@@ -329,29 +368,23 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     improve.
     """
     at = _leaf_positions(d, measured.labels)
-    x0, _, S = _paths(d)
+    x0, paths0, S = _paths(d)
     if x0.size == 0:
         return d
-    # deferred: commands that never polish skip their import cost
-    import scipy.linalg
-    import scipy.optimize
-    import scipy.sparse
+    measured_paths = np.empty_like(paths0)  # in leaves() order, like the tree paths
+    measured_paths[np.ix_(at, at)] = _distance_values(measured)
 
-    # one row per pair in measured.pairs() order, one column per free length:
-    # S[i] ^ S[j] marks the lengths that separate leaves i and j. The pairs
-    # are taken one first leaf at a time, so no dense pairs x lengths array
-    # is held
-    counts, indices = [], []
-    for i, a in enumerate(at[:-1]):
-        crossed = S[a] ^ S[at[i + 1 :]]
-        counts.extend(np.count_nonzero(crossed, axis=1).tolist())
-        indices.append(np.nonzero(crossed)[1])
-    indptr = np.cumsum([0] + counts)
-    design = scipy.sparse.csr_array(
-        (np.ones(indptr[-1]), np.concatenate(indices), indptr), shape=(len(counts), x0.size)
-    )
-    rows, cols = np.triu_indices(measured.k, 1)
-    rhs = np.array([100.0 * math.log(100.0 / c) for c in measured.values[rows, cols].tolist()])
+    # normal equations of the pairs x lengths path design A, counted from the
+    # splits: with leaf sets L and M below lengths l and m, the paths that
+    # cross both number |L&M| * |~L&~M| + |L&~M| * |~L&M|, and A^T f sums
+    # the measured distances across each split. The counts are exact in
+    # floating point, and so is the normal matrix T^T A^T A T
+    F = S.astype(float)
+    both = F.T @ F
+    size = np.diag(both)
+    only_l, only_m = size[:, None] - both, size[None, :] - both
+    gram = both * (measured.k - only_l - only_m - both) + only_l * only_m
+    across = ((F.T @ measured_paths) * ~S.T).sum(axis=1)
 
     T = _level_width_map(d)
     held = np.zeros(x0.size)
@@ -359,32 +392,32 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
         top = len(d.chain_nodes())  # the root chain's width column
         held = T[:, top] * d.root.width
         T = np.delete(T, top, axis=1)
-    reduced = design @ scipy.sparse.csr_array(T)
-    normal = (reduced.T @ reduced).toarray()
-    lower = np.linalg.cholesky(normal)  # R^T
-    c = scipy.linalg.solve_triangular(lower, reduced.T @ (rhs - design @ held), lower=True)
+    lower = np.linalg.cholesky(T.T @ gram @ T)  # R^T
+    c = np.linalg.solve(lower, T.T @ (across - gram @ held))
     # least-distance program in z = R y - c: min |z| subject to
     # (T R^-1) z >= -(T R^-1 c + held). Its dual is the NNLS problem
     # min |dual u - e| over u >= 0, and z = -r[:-1] / r[-1] for the residual
     # r = dual u - e, where r[-1] < 0 since y = 0 is feasible
-    constraint_t = scipy.linalg.solve_triangular(lower, T.T, lower=True)  # (T R^-1)^T
+    constraint_t = np.linalg.solve(lower, T.T)  # (T R^-1)^T
     dual = np.vstack((constraint_t, -(c @ constraint_t + held)))
     target = np.zeros(dual.shape[0])
     target[-1] = 1.0
-    u, _ = scipy.optimize.nnls(dual, target)
-    residual = dual @ u - target
+    residual = dual @ _nnls(dual, target) - target
     z = -residual[:-1] / residual[-1]
-    y = np.maximum(scipy.linalg.solve_triangular(lower.T, z + c, lower=False), 0.0)
+    y = np.maximum(np.linalg.solve(lower.T, z + c), 0.0)
     # remove rounding-level violations: raise each chain to the highest child
     # it joins, children first (they follow their parents in pre-order), so
     # that every level difference is exactly nonnegative
     edges, children = np.nonzero(T < 0)
     for parent, child in zip(edges[::-1] // 3, children[::-1]):
         y[parent] = max(y[parent], y[child])
-    solution = T @ y + held
+    candidate = _with_lengths(d, T @ y + held)
 
-    sse0 = float(np.sum((design @ x0 - rhs) ** 2))
-    sse = float(np.sum((design @ solution - rhs) ** 2))
+    # both sums of squares from path matrices, which keeps them exact when
+    # the fit is: the expanded normal form cancels near zero
+    upper = np.triu_indices(measured.k, 1)
+    sse0 = float(np.sum((paths0 - measured_paths)[upper] ** 2))
+    sse = float(np.sum((_paths(candidate)[1] - measured_paths)[upper] ** 2))
     if sse >= sse0 * (1.0 - 1e-12) - 1e-12:
         return d
-    return _with_lengths(d, solution)
+    return candidate

@@ -88,6 +88,16 @@ class TestBuild:
         for name in ("tree.json", "tree.txt", "fit_report.txt", "tree.svg"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_zero_residuals_print_unsigned(self, data_dir, tmp_path):
+        # hindi-panjabi fits to rounding size; its coincidence residual once
+        # printed as -0.000, with a sign that depended on the last bits
+        run("build", "--input", data_dir / "table1.csv", "--out-dir", tmp_path)
+        line = "hindi\tpanjabi\t23.572\t23.572\t0.000\t79.000\t79.000\t0.000"
+        for name in ("fit_report.txt", "fit_report_adjusted.txt"):
+            text = (tmp_path / name).read_text()
+            assert line in text.splitlines()
+            assert "-0.000" not in text
+
     def test_two_language_family_description(self, tmp_path):
         src = tmp_path / "m.csv"
         src.write_text("p,q\np,-,80\nq,80,-\n")

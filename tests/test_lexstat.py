@@ -1,5 +1,7 @@
 """Scalar conversions, matrix transforms, cognacy counting, borrowings."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from isolect import (
     distance_from_coincidence,
     distance_matrix,
 )
+from isolect.lexstat import _distance_values
 
 # frozen high-precision evaluations of 100*ln(100/C)
 L_79 = 23.572233352106983
@@ -70,6 +73,26 @@ class TestCoincidenceMatrix:
         assert dm.value("kalderash", "hindi") == pytest.approx(63.488, abs=5e-4)
         assert dm.value("hindi", "panjabi") == pytest.approx(23.572, abs=5e-4)
         assert sum(1 for _ in dm.pairs()) == 15
+
+    def test_distances_match_scalar_conversion_bitwise(self):
+        rng = np.random.default_rng(3)
+        k = 40
+        upper = np.triu(rng.uniform(1.0, 100.0, (k, k)), 1)
+        m = CoincidenceMatrix([f"L{i}" for i in range(k)], upper + upper.T)
+        dm = distance_matrix(m)
+        for a, b, c in m.pairs():
+            assert dm.value(a, b) == dm.value(b, a) == distance_from_coincidence(c)
+
+    def test_distance_domain_check_names_first_pair(self):
+        # a matrix that bypassed validation: the conversion still refuses it
+        values = np.full((3, 3), 50.0)
+        values[1, 2] = values[2, 1] = 0.0
+        values[0, 2] = values[2, 0] = 150.0
+        unchecked = SimpleNamespace(k=3, labels=("a", "b", "c"), values=values)
+        message = f"pair (a, c): coincidence must lie on (0, 100], got {np.float64(150.0)!r}"
+        with pytest.raises(DomainError) as info:
+            _distance_values(unchecked)
+        assert str(info.value) == message
 
     def test_symmetry_required(self):
         with pytest.raises(DomainError, match="asymmetric"):

@@ -35,7 +35,7 @@ from isolect.dendrogram import (
     attach_depth,
     endpoint_depths,
 )
-from isolect.reconstruct import _level_width_map
+from isolect.reconstruct import _level_width_map, _nnls
 
 
 def matrix_from_distances(labels, dist) -> CoincidenceMatrix:
@@ -648,8 +648,7 @@ def slsqp_polish(tree, m) -> np.ndarray:
     endpoint-depth difference on unit length vectors. A chain at the root
     keeps its width, as in ``redistribute_residuals``.
     """
-    from scipy.optimize import minimize
-
+    minimize = pytest.importorskip("scipy.optimize").minimize
     x0 = _paths(tree)[0]
     A = design(tree, m)
     b = np.array([100.0 * math.log(100.0 / c) for _, _, c in m.pairs()])
@@ -758,10 +757,86 @@ class TestLevelWidthPolish:
         assert endpoint_depths(chain) == pytest.approx((depth, depth), abs=5e-4)
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported on the first least-squares polish, not with the package
+def test_import_leaves_scipy_unloaded(data_dir, tmp_path):
+    # the package runs on numpy alone: neither importing it nor a build or a
+    # simulation (both polish) loads scipy
     src = str(Path(isolect.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, isolect, isolect.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    code = (
+        "import sys, warnings, isolect, isolect.cli\n"
+        "warnings.simplefilter('ignore')\n"
+        "table, config, out = sys.argv[1:]\n"
+        "assert isolect.cli.main(['build', '--input', table, '--out-dir', out + '/build']) == 0\n"
+        "assert isolect.cli.main(['simulate', '--input', config, '--out-dir', out + '/simulate']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    args = [data_dir / "table1.csv", data_dir / "sim4_config.json", tmp_path]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def nnls_problems():
+    """Seeded well-conditioned, wide and low-rank NNLS problems."""
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        yield rng.normal(size=(30, 20)), rng.normal(size=30)
+        yield rng.normal(size=(15, 40)), rng.normal(size=15)
+        yield rng.normal(size=(30, 8)) @ rng.normal(size=(8, 20)), rng.normal(size=30)
+
+
+@pytest.fixture(scope="module")
+def polish_duals():
+    """The least-distance duals that the polish hands to ``_nnls``, at k = 20..200.
+
+    Their condition numbers run from 5e15 to 6e17.
+    """
+    import isolect.reconstruct as reconstruct
+
+    duals = []
+
+    def record(E, f):
+        duals.append((E, f))
+        return _nnls(E, f)
+
+    rng = np.random.default_rng(31)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(reconstruct, "_nnls", record)
+        warnings.simplefilter("ignore")
+        for k in (20, 50, 100, 200):
+            m = noisy_matrix(rng, horizontal_tree(rng, k), 8.0)
+            redistribute_residuals(build_dendrogram(m)[0], m)
+    assert len(duals) == 4
+    return duals
+
+
+class TestNNLS:
+    def test_matches_scipy(self, polish_duals):
+        optimize = pytest.importorskip("scipy.optimize")
+        for E, f in [*nnls_problems(), *polish_duals]:
+            u, expected = _nnls(E, f), optimize.nnls(E, f)[0]
+            np.testing.assert_array_equal(u > 0.0, expected > 0.0)
+            np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max())
+
+    def test_kkt_conditions(self, polish_duals):
+        for E, f in [*nnls_problems(), *polish_duals]:
+            u = _nnls(E, f)
+            gradient = E.T @ (f - E @ u)
+            tol = 10.0 * np.finfo(float).eps * max(E.shape) * np.linalg.norm(E, 1)
+            passive = u > 0.0
+            assert np.all(u >= 0.0)
+            assert np.all(gradient[~passive] <= tol)
+            assert np.all(np.abs(gradient[passive]) <= tol)
+
+    def test_target_in_negative_cone_gives_zero(self):
+        rng = np.random.default_rng(6)
+        E = rng.uniform(size=(12, 7))
+        f = -E @ rng.uniform(size=7)
+        np.testing.assert_array_equal(_nnls(E, f), np.zeros(7))
+
+    def test_iteration_cap_raises(self):
+        E, f = next(nnls_problems())
+        assert np.count_nonzero(_nnls(E, f)) > 1
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _nnls(E, f, maxiter=1)
