@@ -306,38 +306,51 @@ def _level_width_map(d: Dendrogram) -> np.ndarray:
     return T
 
 
-def _nnls(E: np.ndarray, f: np.ndarray, maxiter: int = None) -> np.ndarray:
+def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Nonnegative least squares: the ``u >= 0`` that minimizes ``|E u - f|``.
 
     The active-set method of Lawson & Hanson (1974, ch. 23). Each passive-set
     subproblem is solved on the columns of ``E`` themselves, not on ``E^T E``,
     whose condition number is the square of theirs, and the gradient is taken
-    in data space. The tolerance follows ``scipy.optimize.nnls``, and so does
-    the cap of ``3 n`` iterations (``n`` the column count), counted here as
-    passive-set solves; reaching it raises ``RuntimeError``.
+    in data space. As in their reference code, a column whose own coefficient
+    comes out of its first solve at or below zero does not enter: its
+    gradient entry is set to zero and the next candidate is tried. The
+    tolerance follows ``scipy.optimize.nnls``, and so does the cap of ``3 n``
+    iterations (``n`` the column count), counted here as passive-set solves;
+    reaching it raises ``RuntimeError``.
     """
     m, n = E.shape
     tol = 10.0 * np.finfo(float).eps * max(m, n) * np.linalg.norm(E, 1)
-    maxiter = 3 * n if maxiter is None else maxiter
     u = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     w = E.T @ f
     solves = 0
-    while not passive.all() and w[~passive].max() > tol:
-        passive[np.argmax(np.where(passive, -np.inf, w))] = True
-        while True:
-            solves += 1
-            if solves > maxiter:
-                raise RuntimeError(f"nonnegative least squares did not converge in {maxiter} solves")
-            s = np.zeros(n)
-            s[passive] = np.linalg.lstsq(E[:, passive], f, rcond=None)[0]
-            blocking = passive & (s < 0.0)
-            if not blocking.any():
-                break
+
+    def solve():
+        nonlocal solves
+        solves += 1
+        if solves > 3 * n:
+            raise RuntimeError(f"nonnegative least squares did not converge in {3 * n} solves")
+        s = np.zeros(n)
+        s[passive] = np.linalg.lstsq(E[:, passive], f, rcond=None)[0]
+        return s
+
+    while not passive.all():
+        j = np.argmax(np.where(passive, -np.inf, w))
+        if w[j] <= tol:
+            break
+        passive[j] = True
+        s = solve()
+        if s[j] <= 0.0:
+            passive[j] = False
+            w[j] = 0.0
+            continue
+        while (blocking := passive & (s < 0.0)).any():
             # step from u towards s until the first passive entry reaches zero
             alpha = np.min(u[blocking] / (u[blocking] - s[blocking]))
             u += alpha * (s - u)
             passive &= u > tol
+            s = solve()
         u = s
         w = E.T @ (f - E @ u)
     return u
