@@ -25,7 +25,6 @@ from .dendrogram import (
     Dendrogram,
     FitReport,
     Leaf,
-    PairFit,
     RootLink,
     ancestor_depth,
     attach_depth,
@@ -83,7 +82,6 @@ __all__ = [
     "IsolectError",
     "JoinStep",
     "Leaf",
-    "PairFit",
     "RecoveryReport",
     "ReplicateRecovery",
     "RootLink",

@@ -170,12 +170,19 @@ def _fit_text(tree: Dendrogram, m: CoincidenceMatrix) -> str:
         "language_a\tlanguage_b\tmeasured_L\ttheoretical_L\tresidual_L"
         "\tmeasured_C\ttheoretical_C\tresidual_C"
     ]
-    for row in report.pairs:
+    columns = zip(
+        report.pairs,
+        report.measured_distance.tolist(),
+        report.theoretical_distance.tolist(),
+        report.residual_distance.tolist(),
+        report.measured_coincidence.tolist(),
+        report.theoretical_coincidence.tolist(),
+        report.residual_coincidence.tolist(),
+    )
+    for (a, b), l_meas, l_theo, res_l, c_meas, c_theo, res_c in columns:
         lines.append(
-            f"{row.pair[0]}\t{row.pair[1]}\t{row.measured_distance:.3f}"
-            f"\t{row.theoretical_distance:.3f}\t{_signed(row.residual_distance)}"
-            f"\t{row.measured_coincidence:.3f}\t{row.theoretical_coincidence:.3f}"
-            f"\t{_signed(row.residual_coincidence)}"
+            f"{a}\t{b}\t{l_meas:.3f}\t{l_theo:.3f}\t{_signed(res_l)}"
+            f"\t{c_meas:.3f}\t{c_theo:.3f}\t{_signed(res_c)}"
         )
     lines.append("")
     lines.append(f"rms residual (swadesh): {report.rms_distance:.3f}")

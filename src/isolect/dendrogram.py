@@ -24,7 +24,6 @@ __all__ = [
     "Dendrogram",
     "FitReport",
     "Leaf",
-    "PairFit",
     "RootGeometry",
     "RootLink",
     "ancestor_depth",
@@ -370,24 +369,24 @@ def root_variants(d: Dendrogram) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class PairFit:
-    """Measured vs tree-implied values for one language pair."""
-
-    pair: tuple
-    measured_distance: float
-    theoretical_distance: float
-    residual_distance: float
-    measured_coincidence: float
-    theoretical_coincidence: float
-    residual_coincidence: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitReport:
-    """Residual table plus summary statistics in both unit systems."""
+    """Measured vs tree-implied values for every language pair, with summaries.
+
+    ``pairs`` holds the ``(label_a, label_b)`` tuples in row-major ``i < j``
+    order of the measured matrix; each of the six per-pair fields is a float
+    array aligned with it. Residuals are theoretical minus measured, in
+    swadesh units and in coincidence percent. Equality is identity
+    (``eq=False``), since ``==`` on the array fields would raise.
+    """
 
     pairs: tuple
+    measured_distance: np.ndarray
+    theoretical_distance: np.ndarray
+    residual_distance: np.ndarray
+    measured_coincidence: np.ndarray
+    theoretical_coincidence: np.ndarray
+    residual_coincidence: np.ndarray
     rms_distance: float
     max_abs_distance: float
     rms_coincidence: float
@@ -400,24 +399,23 @@ def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:
     Residuals are theoretical minus measured; RMS is taken over all pairs.
     """
     at = _leaf_positions(d, measured.labels)
-    pairs = list(itertools.combinations(measured.labels, 2))  # row-major, i < j
+    pairs = tuple(itertools.combinations(measured.labels, 2))  # row-major, i < j
     rows, cols = np.triu_indices(measured.k, 1)
-    c_meas = measured.values[rows, cols].tolist()
-    l_meas = _distance_values(measured)[rows, cols].tolist()
-    l_theo = _paths(d)[1][at[rows], at[cols]].tolist()
+    c_meas = measured.values[rows, cols]
+    l_meas = _distance_values(measured)[rows, cols]
+    l_theo = _paths(d)[1][at[rows], at[cols]]
     # the scalar conversion is kept: np.exp differs from it in the last bit
     # on some inputs
-    c_theo = [coincidence_from_distance(l) for l in l_theo]
-    res_l = np.subtract(l_theo, l_meas)
-    res_c = np.subtract(c_theo, c_meas)
-    rows = tuple(
-        map(PairFit, pairs, l_meas, l_theo, res_l.tolist(), c_meas, c_theo, res_c.tolist())
-    )
-    if rows:
+    c_theo = np.array([coincidence_from_distance(l) for l in l_theo.tolist()])
+    res_l = l_theo - l_meas
+    res_c = c_theo - c_meas
+    if pairs:
         rms_l = float(np.sqrt(np.mean(res_l**2)))
         rms_c = float(np.sqrt(np.mean(res_c**2)))
         max_l = float(np.max(np.abs(res_l)))
         max_c = float(np.max(np.abs(res_c)))
     else:
         rms_l = rms_c = max_l = max_c = 0.0
-    return FitReport(rows, rms_l, max_l, rms_c, max_c)
+    return FitReport(
+        pairs, l_meas, l_theo, res_l, c_meas, c_theo, res_c, rms_l, max_l, rms_c, max_c
+    )

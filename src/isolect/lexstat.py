@@ -89,27 +89,8 @@ def _symmetric_array(labels, values, kind: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class CoincidenceMatrix:
-    """Symmetric matrix of basic-list coincidence percentages.
-
-    The diagonal is meaningless and stored as NaN; ``list_size`` is the
-    number of basic-list slots behind the percentages.
-    """
-
-    labels: tuple
-    values: np.ndarray
-    list_size: int = 100
-
-    def __post_init__(self):
-        labels = _check_labels(self.labels)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(
-            self, "values", _symmetric_array(labels, self.values, "coincidence")
-        )
-        if int(self.list_size) <= 0:
-            raise DomainError(f"list_size must be positive, got {self.list_size!r}")
-        object.__setattr__(self, "list_size", int(self.list_size))
+class _LabelledMatrix:
+    """Label lookup shared by the symmetric matrix types (``labels``, ``values``)."""
 
     @property
     def k(self) -> int:
@@ -132,7 +113,30 @@ class CoincidenceMatrix:
 
 
 @dataclass(frozen=True)
-class DistanceMatrix:
+class CoincidenceMatrix(_LabelledMatrix):
+    """Symmetric matrix of basic-list coincidence percentages.
+
+    The diagonal is meaningless and stored as NaN; ``list_size`` is the
+    number of basic-list slots behind the percentages.
+    """
+
+    labels: tuple
+    values: np.ndarray
+    list_size: int = 100
+
+    def __post_init__(self):
+        labels = _check_labels(self.labels)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(
+            self, "values", _symmetric_array(labels, self.values, "coincidence")
+        )
+        if int(self.list_size) <= 0:
+            raise DomainError(f"list_size must be positive, got {self.list_size!r}")
+        object.__setattr__(self, "list_size", int(self.list_size))
+
+
+@dataclass(frozen=True)
+class DistanceMatrix(_LabelledMatrix):
     """Symmetric matrix of pairwise swadesh distances (diagonal NaN)."""
 
     labels: tuple
@@ -144,20 +148,6 @@ class DistanceMatrix:
         object.__setattr__(
             self, "values", _symmetric_array(labels, self.values, "distance")
         )
-
-    @property
-    def k(self) -> int:
-        return len(self.labels)
-
-    def value(self, a: str, b: str) -> float:
-        i = self.labels.index(a)
-        j = self.labels.index(b)
-        return float(self.values[i, j])
-
-    def pairs(self):
-        for i in range(self.k):
-            for j in range(i + 1, self.k):
-                yield self.labels[i], self.labels[j], float(self.values[i, j])
 
 
 def _distance_values(m: CoincidenceMatrix) -> np.ndarray:

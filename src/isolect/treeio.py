@@ -15,13 +15,12 @@ annotations).
 """
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
 from .dendrogram import ChainNode, Dendrogram, Leaf, RootLink
-from .errors import InputFormatError
+from .errors import DomainError, InputFormatError
 from .lexstat import CognacyTable, CoincidenceMatrix
 from .simulate import SimulationConfig
 
@@ -63,8 +62,6 @@ def parse_coincidence_matrix(text: str, source: str = "<string>") -> Coincidence
         if header is None:
             header = fields
             header_line = lineno
-            if len(header) < 1:
-                raise InputFormatError(f"{source}, line {lineno}: empty label header")
             continue
         rows.append((lineno, fields))
     if header is None:
@@ -102,15 +99,11 @@ def parse_coincidence_matrix(text: str, source: str = "<string>") -> Coincidence
                 raise InputFormatError(
                     f"{source}, line {lineno}, column {column}: not a number: {cell!r}"
                 ) from None
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not math.isclose(values[i, j], values[j, i], rel_tol=0.0, abs_tol=1e-9):
-                raise InputFormatError(
-                    f"{source}: asymmetric cells ({header[i]}, {header[j]}) = "
-                    f"{values[i, j]!r} vs ({header[j]}, {header[i]}) = {values[j, i]!r}"
-                )
     kwargs = {"list_size": list_size} if list_size is not None else {}
-    return CoincidenceMatrix(tuple(header), values, **kwargs)
+    try:
+        return CoincidenceMatrix(tuple(header), values, **kwargs)
+    except DomainError as exc:
+        raise InputFormatError(f"{source}: {exc}") from None
 
 
 def read_coincidence_matrix(path) -> CoincidenceMatrix:

@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -87,6 +88,25 @@ class TestBuild:
         run("build", "--input", data_dir / "table1.csv", "--out-dir", out_b, "--svg")
         for name in ("tree.json", "tree.txt", "fit_report.txt", "tree.svg"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("flags", [(), ("--round-matrix",)], ids=["raw", "rounded"])
+    @pytest.mark.parametrize(
+        "table, digests",
+        [
+            ("table1", (
+                "bcdd5799e5e012c38f437622f6904a9c07ea2fbc7a4fd78f3290c478efeb5a23",
+                "489590ed3bc8fe5b30e198d50415d4028f8d39ebecdd830587ba17a0dbd0ba2a",
+            )),
+            ("table2", (
+                "d6d855f9eab8959e772342717a3ce54e796254ec9f910a5e7c716eb4f0dc2649",
+                "7e2cf9c55a077c71ac6c544fbdd0526ba8e610c32713379146376b4aa8b6898d",
+            )),
+        ],
+    )
+    def test_fit_report_bytes_pinned(self, data_dir, tmp_path, table, digests, flags):
+        run("build", "--input", data_dir / f"{table}.csv", *flags, "--out-dir", tmp_path)
+        for name, digest in zip(("fit_report.txt", "fit_report_adjusted.txt"), digests):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_zero_residuals_print_unsigned(self, data_dir, tmp_path):
         # hindi-panjabi fits to rounding size; its coincidence residual once

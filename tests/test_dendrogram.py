@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import isolect.dendrogram
 from isolect import (
     CoincidenceMatrix,
     DomainError,
@@ -197,9 +198,9 @@ class TestFitReport:
                     l -= 1.0
                 values[i, j] = values[j, i] = coincidence_from_distance(l)
         report = fit_report(fig4_tree, CoincidenceMatrix(labels, values))
-        row = next(r for r in report.pairs if set(r.pair) == {"1", "2"})
-        assert row.residual_distance == pytest.approx(1.0, abs=1e-9)
-        assert row.residual_coincidence < 0.0
+        row = report.pairs.index(("1", "2"))
+        assert report.residual_distance[row] == pytest.approx(1.0, abs=1e-9)
+        assert report.residual_coincidence[row] < 0.0
 
     def test_label_mismatch_lists_difference(self, fig4_tree):
         values = np.full((2, 2), np.nan)
@@ -208,3 +209,9 @@ class TestFitReport:
         with pytest.raises(DomainError) as err:
             fit_report(fig4_tree, measured)
         assert "2" in str(err.value) and "4" in str(err.value)
+
+
+@pytest.mark.parametrize("module", [isolect, isolect.dendrogram], ids=lambda m: m.__name__)
+def test_public_names_resolve(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

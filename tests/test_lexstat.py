@@ -110,6 +110,13 @@ class TestCoincidenceMatrix:
         with pytest.raises(ValueError):
             table1.values[0, 1] = 5.0
 
+    @pytest.mark.parametrize(
+        "convert", [lambda m: m, distance_matrix], ids=["coincidence", "distance"]
+    )
+    def test_unknown_label_names_it(self, table1, convert):
+        with pytest.raises(DomainError, match="unknown language 'zz'"):
+            convert(table1).value("zz", "hindi")
+
 
 def _with_entries(base, entries):
     """4x4 symmetric matrix of ``base`` with each (i, j) -> value set on one side only."""

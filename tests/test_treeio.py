@@ -86,6 +86,24 @@ class TestMatrixFormat:
         with pytest.raises(InputFormatError, match="no label header"):
             parse_coincidence_matrix("# only comments\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p,q\np,-,150\nq,150,-\n",
+             f"coincidence for pair (p, q) must lie on (0, 100], got {np.float64(150.0)!r}"),
+            ("p,q\np,-,nan\nq,50,-\n",
+             f"asymmetric coincidence for pair (p, q): "
+             f"{np.float64(np.nan)!r} vs {np.float64(50.0)!r}"),
+            ("p,p\np,-,50\np,50,-\n", "duplicate language labels: ['p']"),
+            ("#list_size=0\np,q\np,-,50\nq,50,-\n", "list_size must be positive, got 0"),
+        ],
+        ids=["out-of-range", "nan", "duplicate-labels", "list-size-0"],
+    )
+    def test_matrix_faults_name_the_file(self, text, message):
+        with pytest.raises(InputFormatError) as err:
+            parse_coincidence_matrix(text, source="bad.csv")
+        assert str(err.value) == f"bad.csv: {message}"
+
 
 GOOD_COGNACY = """\
 language\tslot\tclass\tborrowed
