@@ -48,8 +48,10 @@ def _load_matrix(args) -> CoincidenceMatrix:
             table, exclude_borrowed=getattr(args, "exclude_borrowed", False)
         )
     if getattr(args, "round_matrix", False):
-        values = np.round(m.values)
-        m = CoincidenceMatrix(m.labels, values, list_size=m.list_size)
+        try:
+            m = CoincidenceMatrix(m.labels, np.round(m.values), list_size=m.list_size)
+        except DomainError as exc:
+            raise InputFormatError(f"{args.input}: after --round-matrix: {exc}") from None
     return m
 
 
@@ -219,18 +221,24 @@ def _clade_shapes(tree: Dendrogram) -> dict:
     }
 
 
+def _build_variant(args, m: CoincidenceMatrix, tag: str) -> Dendrogram:
+    """Write ``m``, build its tree and write the tree, its description and optional SVG."""
+    treeio.write_coincidence_matrix(m, _out_path(args, f"matrix_{tag}.csv"))
+    print(f"wrote {_out_path(args, f'matrix_{tag}.csv')}")
+    tree, steps = build_dendrogram(m)
+    treeio.save_dendrogram(tree, _out_path(args, f"tree_{tag}.json"))
+    print(f"wrote {_out_path(args, f'tree_{tag}.json')}")
+    _write(_out_path(args, f"tree_{tag}.txt"), _describe_tree(tree, steps))
+    if args.svg:
+        _write(_out_path(args, f"tree_{tag}.svg"), draw.render_svg(tree))
+    return tree
+
+
 def cmd_compare_borrowings(args) -> int:
     table = treeio.read_cognacy_table(args.input)
     m_all = coincidence_from_cognacy(table, exclude_borrowed=False)
     n3 = table.borrowed_slot_count()
-    treeio.write_coincidence_matrix(m_all, _out_path(args, "matrix_included.csv"))
-    print(f"wrote {_out_path(args, 'matrix_included.csv')}")
-    tree_all, steps_all = build_dendrogram(m_all)
-    treeio.save_dendrogram(tree_all, _out_path(args, "tree_included.json"))
-    print(f"wrote {_out_path(args, 'tree_included.json')}")
-    _write(_out_path(args, "tree_included.txt"), _describe_tree(tree_all, steps_all))
-    if args.svg:
-        _write(_out_path(args, "tree_included.svg"), draw.render_svg(tree_all))
+    tree_all = _build_variant(args, m_all, "included")
     if n3 == 0:
         print(
             "warning: no borrowed flags present; produced a single run",
@@ -238,14 +246,7 @@ def cmd_compare_borrowings(args) -> int:
         )
         return 0
     m_excl = coincidence_from_cognacy(table, exclude_borrowed=True)
-    treeio.write_coincidence_matrix(m_excl, _out_path(args, "matrix_excluded.csv"))
-    print(f"wrote {_out_path(args, 'matrix_excluded.csv')}")
-    tree_excl, steps_excl = build_dendrogram(m_excl)
-    treeio.save_dendrogram(tree_excl, _out_path(args, "tree_excluded.json"))
-    print(f"wrote {_out_path(args, 'tree_excluded.json')}")
-    _write(_out_path(args, "tree_excluded.txt"), _describe_tree(tree_excl, steps_excl))
-    if args.svg:
-        _write(_out_path(args, "tree_excluded.svg"), draw.render_svg(tree_excl))
+    tree_excl = _build_variant(args, m_excl, "excluded")
 
     dm_all = distance_matrix(m_all)
     dm_excl = distance_matrix(m_excl)

@@ -9,7 +9,7 @@ ancestor point, both dashed since the data cannot decide between them.
 
 import math
 
-from .dendrogram import Dendrogram, Leaf, RootLink, attach_depth, root_geometry
+from .dendrogram import Dendrogram, Leaf, RootLink, attach_depth, endpoint_depths, root_geometry
 
 __all__ = ["render_svg"]
 
@@ -39,8 +39,7 @@ def _place(node, x_attach: float, canvas: _Canvas) -> None:
     else:
         x_left = x_attach - node.width
     x_right = x_left + node.width
-    d_left = node.left_edge + attach_depth(node.left)
-    d_right = node.right_edge + attach_depth(node.right)
+    d_left, d_right = endpoint_depths(node)
     canvas.chains.append(((x_left, d_left), (x_right, d_right), node.width))
     canvas.points.append((x_left, d_left))
     canvas.points.append((x_right, d_right))

@@ -81,9 +81,10 @@ def _symmetric_array(labels, values, kind: str) -> np.ndarray:
         a, b = labels[i], labels[j]
         if asymmetric[i, j]:
             raise DomainError(
-                f"asymmetric {kind} for pair ({a}, {b}): {arr[i, j]!r} vs {arr[j, i]!r}"
+                f"asymmetric {kind} for pair ({a}, {b}): "
+                f"{float(arr[i, j])!r} vs {float(arr[j, i])!r}"
             )
-        raise DomainError(f"{kind} for pair ({a}, {b}) {rule}, got {arr[i, j]!r}")
+        raise DomainError(f"{kind} for pair ({a}, {b}) {rule}, got {float(arr[i, j])!r}")
     np.fill_diagonal(arr, np.nan)
     arr.setflags(write=False)
     return arr
@@ -155,20 +156,11 @@ def _distance_values(m: CoincidenceMatrix) -> np.ndarray:
 
     Every entry comes from the scalar formula of ``distance_from_coincidence``
     (``np.log`` differs from ``math.log`` in the last bit on some inputs). The
-    domain check runs on the whole upper triangle first and names the first
-    bad pair in row-major order.
+    entries need no domain check: a ``CoincidenceMatrix`` is validated when it
+    is built and its values are read-only.
     """
     rows, cols = np.triu_indices(m.k, 1)
     upper = m.values[rows, cols]
-    in_domain, rule = _DOMAINS["coincidence"]
-    with np.errstate(invalid="ignore"):
-        bad = np.flatnonzero(~(np.isfinite(upper) & in_domain(upper)))
-    if bad.size:
-        first = bad[0]
-        raise DomainError(
-            f"pair ({m.labels[rows[first]]}, {m.labels[cols[first]]}): "
-            f"coincidence {rule}, got {upper[first]!r}"
-        )
     out = np.zeros((m.k, m.k))
     out[rows, cols] = [100.0 * math.log(100.0 / c) for c in upper.tolist()]
     return out + out.T

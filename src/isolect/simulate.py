@@ -11,7 +11,6 @@ so serial and parallel runs agree bit for bit.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,85 +49,46 @@ class SimulationConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-def _segments(tree: Dendrogram):
-    """Directed (parent_point, child_point, length) list in canonical order.
-
-    Points are hashable tokens; leaves map to ('leaf', label). The root link
-    is realized as two half-length verticals from a single origin, which
-    preserves every leaf-to-leaf path length regardless of the link's true
-    configuration.
-    """
-    segments = []
-
-    def top_point(node):
-        if isinstance(node, Leaf):
-            return ("leaf", node.label)
-        return ("attach", node.id)
-
-    def walk(node):
-        # the edge down to this node's attach endpoint was added by the
-        # caller; emit the near child, then the chain, then the far child
-        if isinstance(node, Leaf):
-            return
-        attach = ("attach", node.id)
-        far = ("far", node.id)
-        if node.attach_side == "left":
-            near_child, near_edge = node.left, node.left_edge
-            far_child, far_edge = node.right, node.right_edge
-        else:
-            near_child, near_edge = node.right, node.right_edge
-            far_child, far_edge = node.left, node.left_edge
-        segments.append((attach, top_point(near_child), near_edge))
-        walk(near_child)
-        segments.append((attach, far, node.width))
-        segments.append((far, top_point(far_child), far_edge))
-        walk(far_child)
-
-    root = tree.root
-    if isinstance(root, RootLink):
-        origin = ("origin",)
-        segments.append((origin, top_point(root.left), root.length / 2.0))
-        walk(root.left)
-        segments.append((origin, top_point(root.right), root.length / 2.0))
-        walk(root.right)
-        start = origin
-    else:
-        start = top_point(root)
-        walk(root)
-    return start, segments
-
-
 def _replicate_classes(cfg: SimulationConfig, replicate: int):
     """Evolve all slots for one replicate: ``(languages, ids)``.
 
     ``ids`` is the (k, slots) int64 class matrix, rows in ``tree.leaves()``
-    order. Each leaf's classes are written straight into its row, and an
-    inner point's class array is dropped once its last child segment has
-    been stepped.
+    order. Each stack entry holds a node, the classes of the point above it
+    and the segment lengths from that point down to the node's attach
+    endpoint. A chain's near child is stepped before its chain width and far
+    side, and a root link is crossed as two half-length verticals from one
+    origin, left before right, which preserves every leaf-to-leaf path. A
+    point's class array lives only in the entries that still need it.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(replicate,))
     )
-    start, segments = _segments(cfg.tree)
     languages = cfg.tree.leaves()
-    rows = {("leaf", label): i for i, label in enumerate(languages)}
-    children = Counter(parent for parent, _, _ in segments)
+    rows = {label: i for i, label in enumerate(languages)}
     ids = np.empty((len(languages), cfg.slots), dtype=np.int64)
-    classes = {start: np.arange(cfg.slots, dtype=np.int64)}
-    if start in rows:
-        ids[rows[start]] = classes[start]
+    origin = np.arange(cfg.slots, dtype=np.int64)
+    root = cfg.tree.root
+    if isinstance(root, RootLink):
+        half = (root.length / 2.0,)
+        stack = [(root.right, origin, half), (root.left, origin, half)]
+    else:
+        stack = [(root, origin, ())]
+    del origin
     next_id = cfg.slots
-    for parent, child, length in segments:
-        prob = 1.0 - math.exp(-length / 100.0)
-        uniforms = rng.random(cfg.slots)
-        evolved, next_id = _kernels.evolve_slots(classes[parent], uniforms, prob, next_id)
-        children[parent] -= 1
-        if not children[parent]:
-            del classes[parent]
-        if child in rows:
-            ids[rows[child]] = evolved
+    while stack:
+        node, classes, lengths = stack.pop()
+        for length in lengths:
+            classes, next_id = _kernels.evolve_slots(
+                classes, rng.random(cfg.slots), 1.0 - math.exp(-length / 100.0), next_id
+            )
+        if isinstance(node, Leaf):
+            ids[rows[node.label]] = classes
+        elif node.attach_side == "left":
+            stack.append((node.right, classes, (node.width, node.right_edge)))
+            stack.append((node.left, classes, (node.left_edge,)))
         else:
-            classes[child] = evolved
+            stack.append((node.left, classes, (node.width, node.left_edge)))
+            stack.append((node.right, classes, (node.right_edge,)))
     return languages, ids
 
 
@@ -171,14 +131,10 @@ def _compare_lengths(truth: Dendrogram, recon: Dendrogram) -> float:
     Chain nodes are matched by their leaf clades; verticals are compared as
     sorted pairs because the builder may mirror left and right.
     """
-    true_by_clade = {clade: node_id for node_id, clade in truth.clades().items()}
-    recon_by_clade = {clade: node_id for node_id, clade in recon.clades().items()}
-    true_nodes = {n.id: n for n in truth.chain_nodes()}
-    recon_nodes = {n.id: n for n in recon.chain_nodes()}
+    recon_by_clade = dict(zip(recon.clades().values(), recon.chain_nodes()))
     worst = 0.0
-    for clade, true_id in true_by_clade.items():
-        tn = true_nodes[true_id]
-        rn = recon_nodes[recon_by_clade[clade]]
+    for clade, tn in zip(truth.clades().values(), truth.chain_nodes()):
+        rn = recon_by_clade[clade]
         worst = max(worst, abs(tn.width - rn.width))
         for tv, rv in zip(
             sorted((tn.left_edge, tn.right_edge)),

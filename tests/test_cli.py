@@ -53,6 +53,17 @@ class TestDistances:
         assert run("distances", "--input", src, "--round-matrix", "--out-dir", out) == 0
         assert "p\tq\t79.000\t23.572" in (out / "distances.txt").read_text()
 
+    def test_round_matrix_fault_names_file_and_rounding(self, tmp_path, capsys):
+        # 0.4 is a valid coincidence, but it rounds to 0
+        src = tmp_path / "m.csv"
+        src.write_text("p,q\np,-,0.4\nq,0.4,-\n")
+        code = run("distances", "--input", src, "--round-matrix", "--out-dir", tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: after --round-matrix: coincidence for pair (p, q) "
+            "must lie on (0, 100], got 0.0\n"
+        )
+
 
 class TestBuild:
     def test_table1_artifacts(self, data_dir, tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from isolect import (
     simulate_cognacy,
 )
 from isolect.dendrogram import ChainNode, Dendrogram, Leaf, RootLink
-from isolect.simulate import RecoveryReport, _one_trial
+from isolect.simulate import RecoveryReport, _one_trial, _replicate_classes
 from isolect.treeio import load_dendrogram
 
 SIM4_TREE = Path(__file__).resolve().parent.parent / "data" / "sim4_tree.json"
@@ -35,6 +36,33 @@ def nested_tree():
                   left_edge=15.0, right_edge=15.0, attach_side="right")
     return Dendrogram(ChainNode(id="r", width=8.0, left=a, right=b,
                                 left_edge=12.0, right_edge=0.0, attach_side="left"))
+
+
+def random_tree(seed, k, root_link):
+    """Seeded random tree on ``k`` leaves: random edges, widths (some zero) and attach sides."""
+    rng = np.random.default_rng(seed)
+    nodes = [Leaf(f"L{i}") for i in range(k)]
+    for n in range(k - 2 if root_link else k - 1):
+        i, j = sorted(rng.choice(len(nodes), size=2, replace=False).tolist())
+        right, left = nodes.pop(j), nodes.pop(i)
+        width = float(rng.uniform(0.0, 20.0)) if rng.random() < 0.7 else 0.0
+        left_edge, right_edge = rng.uniform(0.0, 40.0, size=2).tolist()
+        nodes.append(ChainNode(id=f"n{n}", width=width, left=left, right=right,
+                               left_edge=left_edge, right_edge=right_edge,
+                               attach_side=("left", "right")[int(rng.integers(2))]))
+    if root_link:
+        return Dendrogram(RootLink(length=float(rng.uniform(0.0, 60.0)),
+                                   left=nodes[0], right=nodes[1]))
+    return Dendrogram(nodes[0])
+
+
+def far_deep_caterpillar(k):
+    """``k`` leaves; every chain has a leaf on its near side and the rest on its far side."""
+    node = Leaf("L0")
+    for i in range(1, k):
+        node = ChainNode(id=f"c{i}", width=2.0, left=Leaf(f"L{i}"), right=node,
+                         left_edge=3.0, right_edge=1.0, attach_side="left")
+    return Dendrogram(node)
 
 
 def sha256(data: bytes) -> str:
@@ -112,6 +140,34 @@ class TestSimulateCognacy:
         assert sha256(table.class_ids.astype("<i8").tobytes()) == (
             "c1a372b8a20232547c8be483622af870c7344535290fdc4f96fda972fc45e4c8"
         )
+
+    @pytest.mark.parametrize("root_link,digest", [
+        (False, "f8a6cd9a92cb23f30a0895f73c8a4ec922e0d9f43cf3ea4f2e55e8666834ca3d"),
+        (True, "48562ea029a1b99e6392712262f249717c68be80fe5df531b768d1656c466b52"),
+    ], ids=["chain-root", "root-link"])
+    def test_class_ids_pinned_random_trees(self, root_link, digest):
+        # one digest over the class matrices of seeded random trees with
+        # 2 to 30 leaves; pinned before the simulator's traversal was rewritten
+        h = hashlib.sha256()
+        for k in range(2, 31):
+            cfg = SimulationConfig(tree=random_tree(k, k, root_link), slots=300, seed=100 + k)
+            table = simulate_cognacy(cfg)
+            h.update(repr(table.languages).encode())
+            h.update(table.class_ids.astype("<i8").tobytes())
+        assert h.hexdigest() == digest
+
+    def test_class_arrays_freed_on_deep_far_sides(self):
+        # a traversal that keeps one class array per level of depth (as plain
+        # recursion does) would hold about 30 of them here
+        slots = 10**5
+        cfg = SimulationConfig(tree=far_deep_caterpillar(31), slots=slots, seed=3)
+        tracemalloc.start()
+        try:
+            _, ids = _replicate_classes(cfg, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ids.nbytes + 8 * slots * 8
 
     def test_single_leaf_tree(self):
         table = simulate_cognacy(SimulationConfig(tree=Dendrogram(Leaf("solo")), slots=5, seed=1))

@@ -90,10 +90,9 @@ class TestMatrixFormat:
         "text, message",
         [
             ("p,q\np,-,150\nq,150,-\n",
-             f"coincidence for pair (p, q) must lie on (0, 100], got {np.float64(150.0)!r}"),
+             "coincidence for pair (p, q) must lie on (0, 100], got 150.0"),
             ("p,q\np,-,nan\nq,50,-\n",
-             f"asymmetric coincidence for pair (p, q): "
-             f"{np.float64(np.nan)!r} vs {np.float64(50.0)!r}"),
+             "asymmetric coincidence for pair (p, q): nan vs 50.0"),
             ("p,p\np,-,50\np,50,-\n", "duplicate language labels: ['p']"),
             ("#list_size=0\np,q\np,-,50\nq,50,-\n", "list_size must be positive, got 0"),
         ],
