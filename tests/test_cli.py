@@ -288,3 +288,101 @@ class TestMalformedTree:
         assert run(command, "--input", source, "--out-dir", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert "bad_tree.json" in err and expected in err
+
+
+# SHA-256 of each command's files, with the files in the order their
+# `wrote` lines print. tree_adjusted.json is written but not pinned: its
+# full-precision floats come out of LAPACK and may differ between BLAS builds.
+PINNED_RUNS = {
+    "build-table1": (
+        ("build", "--input", "{data}/table1.csv", "--svg"),
+        ("tree.json", "tree.txt", "fit_report.txt", "tree_adjusted.json",
+         "fit_report_adjusted.txt", "tree.svg"),
+        {
+            "tree.json": "1f56bb267bdda56812ebba67cfc9cd3eeec89fc4201950383f8ae4a2fa5991f3",
+            "tree.txt": "4955d9229096f5e35dcb62003ec4b14f89ef27fbb1913917a26b28af3595170a",
+            "tree.svg": "16a540a6ec1dae803d2ae96df95d038859982705fa0f8aec6adebf5332b1bd6e",
+        },
+    ),
+    "build-table2": (
+        ("build", "--input", "{data}/table2.csv", "--svg"),
+        ("tree.json", "tree.txt", "fit_report.txt", "tree_adjusted.json",
+         "fit_report_adjusted.txt", "tree.svg"),
+        {
+            "tree.json": "d84491d00ebd9675a6b0a209f40ca09c617ae2c36cbcbf4d88f094c1fbfdf792",
+            "tree.txt": "338b12ddf73c80348b3d123f68631a54fab57d9b5bfdde19a9c38aa94632972a",
+            "tree.svg": "115b23d3f8e81730e78975ee7663e5f6e2b26f69232e34be3c5eac89155868d5",
+        },
+    ),
+    "distances": (
+        ("distances", "--input", "{data}/table1.csv"),
+        ("distances.txt",),
+        {"distances.txt": "bbb28965db3db002a6b5b4253b46031a7d2d6efe8d9694090f2af277315a39e2"},
+    ),
+    "compare-borrowings": (
+        ("compare-borrowings", "--input", "{tmp}/cognacy.tsv", "--svg"),
+        ("matrix_included.csv", "tree_included.json", "tree_included.txt",
+         "tree_included.svg", "matrix_excluded.csv", "tree_excluded.json",
+         "tree_excluded.txt", "tree_excluded.svg", "delta_summary.txt"),
+        {
+            "matrix_included.csv": "0c44b7a893fa8540221a15a164e92658bbb2bc407d2f95965130cb1876cd294d",
+            "tree_included.json": "b5a2592efb6804d50fc3058be3f10d39da358f204aa76872aa20c5c2cd34aa5c",
+            "tree_included.txt": "37da516123a25d079aedcbd830bf854536282f60494e9ea273bd2ccf52d4cbbd",
+            "tree_included.svg": "40f4a0f6a0fdcd13a18e45e6f4c0c74dd1187fec74c673c6e2c712d46059fc5a",
+            "matrix_excluded.csv": "bfd1bfac2e8a7b0bc3618b27c95b5150c822dea62399c1a65595e1fcea470634",
+            "tree_excluded.json": "301aa8d9a53b24a63d63b84e7f47fe3e70364d8892876a1a3bc521cd9c1c111c",
+            "tree_excluded.txt": "88819f469dc4b89f816dbbde718a2423a4c7e2e01f52441309b331c45adbfa6e",
+            "tree_excluded.svg": "8ab856707e6fccc26240973aef2ab29b92e16d9a251a8a38933d6bbee2a90089",
+            "delta_summary.txt": "ba7524a079228faaa647b91469571ac9b7d3dd5ebcfb460413b69c3f2a63c57e",
+        },
+    ),
+    "calibrate-defaults": (
+        ("calibrate", "0", "14", "28", "50"),
+        ("times.txt", "curves.csv"),
+        {
+            "times.txt": "11ffe26399ed7e41948468bc2682956d2b76e01e6658e8f8496a5e9daaaa37ff",
+            "curves.csv": "86a2237487831e0787d3527844a71ada9cc3bb8f14eefeae64718dd5cb81bf6d",
+        },
+    ),
+    "calibrate-flags": (
+        ("calibrate", "0", "14", "28", "50", "--lambda", "0.2", "--t0", "2",
+         "--shift", "3", "--l-max", "60", "--step", "0.5"),
+        ("times.txt", "curves.csv"),
+        {
+            "times.txt": "7c8c06a9644f2b3788e33c16282d4d3ab2f89bfb78098c5498b6d193d197267f",
+            "curves.csv": "422a555cfd1f5a1d759571861ec6b8ccf7fc21c90fe8de1f64614abb01df832d",
+        },
+    ),
+    "simulate": (
+        ("simulate", "--input", "{data}/sim4_config.json"),
+        ("cognacy.tsv", "recovery_report.txt"),
+        {
+            "cognacy.tsv": "1522e4415c244ef78a634275d7b28b1478693d93ad4f1f1a7f6af7266c5b2fb3",
+            "recovery_report.txt": "bea4231ccea5bf4243defab3e439ca02327ebc198be2146d5b495fe662a2a77d",
+        },
+    ),
+}
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestOutputsPinned:
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_bytes_and_wrote_lines(self, name, data_dir, borrowing_table, tmp_path, capsys):
+        argv, written, digests = PINNED_RUNS[name]
+        write_cognacy_table(borrowing_table, tmp_path / "cognacy.tsv")
+        out = tmp_path / "out"
+        argv = [a.format(data=data_dir, tmp=tmp_path) for a in argv]
+        assert run(*argv, "--out-dir", out) == 0
+        assert capsys.readouterr().out == "".join(f"wrote {out / f}\n" for f in written)
+        assert {f: _digest(out / f) for f in digests} == digests
+
+    def test_render_of_built_tree(self, data_dir, tmp_path, capsys):
+        run("build", "--input", data_dir / "table1.csv", "--out-dir", tmp_path / "build")
+        capsys.readouterr()
+        out = tmp_path / "render"
+        assert run("render", "--input", tmp_path / "build" / "tree.json", "--out-dir", out) == 0
+        assert capsys.readouterr().out == f"wrote {out / 'tree.svg'}\n"
+        assert _digest(out / "tree.svg") == PINNED_RUNS["build-table1"][2]["tree.svg"]
