@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 runtime error, 2 input validation error.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .dendrogram import (
 )
 from .errors import DomainError, InputFormatError, IsolectError
 from .lexstat import (
+    BorrowingAdjustment,
     CoincidenceMatrix,
     coincidence_from_cognacy,
     distance_matrix,
@@ -37,17 +39,15 @@ __all__ = ["entry", "main"]
 def _load_matrix(args) -> CoincidenceMatrix:
     if args.format == "matrix":
         m = treeio.read_coincidence_matrix(args.input)
-        if getattr(args, "exclude_borrowed", False):
+        if args.exclude_borrowed:
             raise InputFormatError(
                 "--exclude-borrowed requires --format cognacy (matrix files "
                 "carry no borrowing flags)"
             )
     else:
         table = treeio.read_cognacy_table(args.input)
-        m = coincidence_from_cognacy(
-            table, exclude_borrowed=getattr(args, "exclude_borrowed", False)
-        )
-    if getattr(args, "round_matrix", False):
+        m = coincidence_from_cognacy(table, exclude_borrowed=args.exclude_borrowed)
+    if args.round_matrix:
         try:
             m = CoincidenceMatrix(m.labels, np.round(m.values), list_size=m.list_size)
         except DomainError as exc:
@@ -55,14 +55,18 @@ def _load_matrix(args) -> CoincidenceMatrix:
     return m
 
 
-def _out_path(args, name: str) -> Path:
+def _write(args, name: str, content, save=None) -> None:
+    """Write ``content`` to ``name`` in the output directory and say so.
+
+    Text is written as is; anything else goes through ``save(content, path)``.
+    """
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / name
-
-
-def _write(path: Path, content: str) -> None:
-    path.write_text(content, encoding="utf-8", newline="\n")
+    path = out_dir / name
+    if save is None:
+        path.write_text(content, encoding="utf-8", newline="\n")
+    else:
+        save(content, path)
     print(f"wrote {path}")
 
 
@@ -77,7 +81,7 @@ def _distance_table(m: CoincidenceMatrix) -> str:
 
 def cmd_distances(args) -> int:
     m = _load_matrix(args)
-    _write(_out_path(args, "distances.txt"), _distance_table(m))
+    _write(args, "distances.txt", _distance_table(m))
     return 0
 
 
@@ -200,15 +204,13 @@ def cmd_build(args) -> int:
         raise InputFormatError("reconstruction needs at least 2 languages")
     tree, steps = build_dendrogram(m)
     adjusted = redistribute_residuals(tree, m)
-    treeio.save_dendrogram(tree, _out_path(args, "tree.json"))
-    print(f"wrote {_out_path(args, 'tree.json')}")
-    _write(_out_path(args, "tree.txt"), _describe_tree(tree, steps))
-    _write(_out_path(args, "fit_report.txt"), _fit_text(tree, m))
-    treeio.save_dendrogram(adjusted, _out_path(args, "tree_adjusted.json"))
-    print(f"wrote {_out_path(args, 'tree_adjusted.json')}")
-    _write(_out_path(args, "fit_report_adjusted.txt"), _fit_text(adjusted, m))
+    _write(args, "tree.json", tree, treeio.save_dendrogram)
+    _write(args, "tree.txt", _describe_tree(tree, steps))
+    _write(args, "fit_report.txt", _fit_text(tree, m))
+    _write(args, "tree_adjusted.json", adjusted, treeio.save_dendrogram)
+    _write(args, "fit_report_adjusted.txt", _fit_text(adjusted, m))
     if args.svg:
-        _write(_out_path(args, "tree.svg"), draw.render_svg(tree))
+        _write(args, "tree.svg", draw.render_svg(tree))
     return 0
 
 
@@ -223,14 +225,12 @@ def _clade_shapes(tree: Dendrogram) -> dict:
 
 def _build_variant(args, m: CoincidenceMatrix, tag: str) -> Dendrogram:
     """Write ``m``, build its tree and write the tree, its description and optional SVG."""
-    treeio.write_coincidence_matrix(m, _out_path(args, f"matrix_{tag}.csv"))
-    print(f"wrote {_out_path(args, f'matrix_{tag}.csv')}")
+    _write(args, f"matrix_{tag}.csv", m, treeio.write_coincidence_matrix)
     tree, steps = build_dendrogram(m)
-    treeio.save_dendrogram(tree, _out_path(args, f"tree_{tag}.json"))
-    print(f"wrote {_out_path(args, f'tree_{tag}.json')}")
-    _write(_out_path(args, f"tree_{tag}.txt"), _describe_tree(tree, steps))
+    _write(args, f"tree_{tag}.json", tree, treeio.save_dendrogram)
+    _write(args, f"tree_{tag}.txt", _describe_tree(tree, steps))
     if args.svg:
-        _write(_out_path(args, f"tree_{tag}.svg"), draw.render_svg(tree))
+        _write(args, f"tree_{tag}.svg", draw.render_svg(tree))
     return tree
 
 
@@ -254,9 +254,9 @@ def cmd_compare_borrowings(args) -> int:
     lines.append(f"list size with borrowings: {m_all.list_size}")
     lines.append(f"borrowed slots excluded: {n3}")
     lines.append(f"effective list size: {m_excl.list_size}")
-    expected = 100.0 * np.log(m_all.list_size / (m_all.list_size - n3))
+    shift = BorrowingAdjustment(m_all.list_size, n3).shift
     lines.append(
-        f"uniform shift s for same-slot borrowings: {expected:.3f} "
+        f"uniform shift s for same-slot borrowings: {shift:.3f} "
         "(holds exactly only when the excluded slots coincide nowhere)"
     )
     lines.append("")
@@ -287,44 +287,31 @@ def cmd_compare_borrowings(args) -> int:
         f"ancestor depth (deep-point variant): {ancestor_depth(tree_all):.3f} -> "
         f"{ancestor_depth(tree_excl):.3f}"
     )
-    _write(_out_path(args, "delta_summary.txt"), "\n".join(lines) + "\n")
+    _write(args, "delta_summary.txt", "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    params = decay.DecayParams(rate=args.rate, alpha=args.alpha, shift=args.shift)
-    lines = ["distance\tlinear\tlinear_shifted\trefit_linear\tquadratic\tstarostin"]
-    reduced = decay.refit_rate(params, args.t0)
+    params = decay.DecayParams(rate=args.rate, shift=args.shift)
+    laws = decay.calibration_laws(params, args.t0)
+    lines = ["\t".join(("distance",) + decay.CURVE_TAGS)]
     for l in args.distances:
-        if l < 0:
-            raise InputFormatError(f"distances must be >= 0, got {l}")
-        lines.append(
-            f"{l:.3f}"
-            f"\t{decay.time_linear(l, params):.3f}"
-            f"\t{decay.time_linear_shifted(l, params):.3f}"
-            f"\t{l / (100.0 * reduced):.3f}"
-            f"\t{decay.time_quadratic(l, params):.3f}"
-            f"\t{decay.time_starostin(l, params):.3f}"
-        )
-    _write(_out_path(args, "times.txt"), "\n".join(lines) + "\n")
+        lines.append("\t".join(f"{x:.3f}" for x in [l] + [law(l) for law in laws]))
+    _write(args, "times.txt", "\n".join(lines) + "\n")
     curves = decay.sample_curves(args.l_max, args.step, params, t0=args.t0)
     rows = ["curve,distance,time"]
     for curve in curves:
         for l, t in zip(curve.distances, curve.times):
             rows.append(f"{curve.tag},{l:.3f},{t:.3f}")
-    _write(_out_path(args, "curves.csv"), "\n".join(rows) + "\n")
+    _write(args, "curves.csv", "\n".join(rows) + "\n")
     return 0
 
 
 def cmd_simulate(args) -> int:
     cfg = treeio.load_simulation_config(args.input)
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
-    table = simulate_cognacy(cfg, replicate=0)
-    treeio.write_cognacy_table(table, _out_path(args, "cognacy.tsv"))
-    print(f"wrote {_out_path(args, 'cognacy.tsv')}")
+    _write(args, "cognacy.tsv", simulate_cognacy(cfg, replicate=0), treeio.write_cognacy_table)
     report = recovery_trial(cfg)
     lines = [
         f"slots: {cfg.slots}",
@@ -333,27 +320,25 @@ def cmd_simulate(args) -> int:
         "",
     ]
     for rep in report.replicates:
-        err = "inf" if rep.max_length_error == float("inf") else f"{rep.max_length_error:.3f}"
         lines.append(
             f"replicate {rep.replicate}: topology_match="
-            f"{'yes' if rep.topology_match else 'no'}, max_length_error={err}, "
+            f"{'yes' if rep.topology_match else 'no'}, "
+            f"max_length_error={rep.max_length_error:.3f}, "
             f"max_path_error={rep.max_path_error:.3f}"
         )
     lines.append("")
     lines.append(
         f"all topologies match: {'yes' if report.all_topologies_match else 'no'}"
     )
-    worst = report.worst_length_error
-    worst_text = "inf" if worst == float("inf") else f"{worst:.3f}"
-    lines.append(f"worst length error: {worst_text}")
+    lines.append(f"worst length error: {report.worst_length_error:.3f}")
     lines.append(f"worst path error: {report.worst_path_error:.3f}")
-    _write(_out_path(args, "recovery_report.txt"), "\n".join(lines) + "\n")
+    _write(args, "recovery_report.txt", "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_render(args) -> int:
     tree = treeio.load_dendrogram(args.input)
-    _write(_out_path(args, "tree.svg"), draw.render_svg(tree))
+    _write(args, "tree.svg", draw.render_svg(tree))
     return 0
 
 
@@ -411,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("distances", nargs="*", type=float, help="distances to tabulate")
     p.add_argument("--lambda", dest="rate", type=float, default=decay.DEFAULT_RATE,
                    help="replacement rate per millennium (default 0.14)")
-    p.add_argument("--alpha", type=float, default=1.0, help="aging exponent")
     p.add_argument("--t0", type=float, default=1.0,
                    help="anchor age for the refit line (thousands of years)")
     p.add_argument("--shift", type=float, default=decay.DEFAULT_SHIFT,
@@ -443,10 +427,7 @@ def main(argv=None) -> int:
     except (InputFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IsolectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (IsolectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

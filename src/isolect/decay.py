@@ -21,6 +21,7 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "CurveSample",
     "DecayParams",
+    "calibration_laws",
     "classify_initial_rate",
     "decay_rate",
     "sample_curves",
@@ -179,31 +180,33 @@ def refit_rate(p: DecayParams, t0: float = 1.0) -> float:
     return reduced
 
 
+def calibration_laws(p: DecayParams, t0: float = 1.0) -> tuple:
+    """The five calibration laws, each a function of one distance, in ``CURVE_TAGS`` order.
+
+    Laws: plain linear law, the same law shifted by the borrowing exclusion,
+    the refit line through the origin and the shifted curve's point at
+    ``t0``, the quadratic aging law, and the retention-corrected aging law.
+    """
+    reduced = refit_rate(p, t0)
+    return (
+        lambda l: time_linear(l, p),
+        lambda l: time_linear_shifted(l, p),
+        lambda l: _check_distance(l) / (100.0 * reduced),
+        lambda l: time_quadratic(l, p),
+        lambda l: time_starostin(l, p),
+    )
+
+
 def sample_curves(
     l_max: float, step: float, p: DecayParams, t0: float = 1.0
 ) -> tuple:
-    """Sample all five calibration curves on a common grid for plotting.
-
-    Curves: plain linear law, the same law shifted by the borrowing
-    exclusion, the refit line through the origin and the shifted curve's
-    point at ``t0``, the quadratic aging law, and the retention-corrected
-    aging law.
-    """
+    """Sample the five ``calibration_laws`` on a common grid for plotting."""
     if not math.isfinite(l_max) or l_max <= 0.0:
         raise DomainError(f"l_max must be positive, got {l_max!r}")
     if not math.isfinite(step) or step <= 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
     grid = np.arange(0.0, l_max + step / 2.0, step)
-    reduced = refit_rate(p, t0)
-    curves = (
-        CurveSample("linear", grid, grid / (100.0 * p.rate)),
-        CurveSample("linear_shifted", grid, (grid + p.shift) / (100.0 * p.rate)),
-        CurveSample("refit_linear", grid, grid / (100.0 * reduced)),
-        CurveSample("quadratic", grid, np.sqrt(grid / (100.0 * p.rate))),
-        CurveSample(
-            "starostin",
-            grid,
-            np.exp(0.005 * grid) * np.sqrt(grid / (100.0 * p.rate)),
-        ),
+    return tuple(
+        CurveSample(tag, grid, np.array([law(l) for l in grid.tolist()]))
+        for tag, law in zip(CURVE_TAGS, calibration_laws(p, t0))
     )
-    return curves

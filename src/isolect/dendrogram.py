@@ -110,10 +110,14 @@ class Dendrogram:
     root: Union[RootLink, Node]
 
     def __post_init__(self):
-        labels = self.leaves()
-        if len(set(labels)) != len(labels):
-            dupes = sorted({x for x in labels if labels.count(x) > 1})
-            raise DomainError(f"duplicate leaf labels in dendrogram: {dupes}")
+        nodes = tuple(_preorder(self.root))
+        for what, names in (
+            ("leaf labels", [n.label for n in nodes if isinstance(n, Leaf)]),
+            ("chain ids", [n.id for n in nodes if isinstance(n, ChainNode)]),
+        ):
+            if len(set(names)) != len(names):
+                dupes = sorted({x for x in names if names.count(x) > 1})
+                raise DomainError(f"duplicate {what} in dendrogram: {dupes}")
 
     def leaves(self) -> tuple:
         """Leaf labels in left-to-right drawing order."""

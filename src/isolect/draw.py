@@ -13,17 +13,17 @@ from .dendrogram import Dendrogram, Leaf, RootLink, attach_depth, endpoint_depth
 
 __all__ = ["render_svg"]
 
-_FMT = "{:.3f}"
+_SCALE = 14.0  # pixels per swadesh unit, on both axes
 
 
-def _fmt(x: float) -> str:
-    return _FMT.format(x)
+def _line(x1: float, y1: float, x2: float, y2: float, style: str) -> str:
+    return f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" {style}/>'
 
 
 class _Canvas:
     def __init__(self):
-        self.chains = []  # ((x1, d1), (x2, d2), width)
-        self.edges = []  # ((x, d_top), (x, d_bottom), length)
+        self.chains = []  # ((x1, d1), (x2, d2))
+        self.edges = []  # ((x, d_top), (x, d_bottom))
         self.points = []  # (x, d)
         self.leaves = []  # (x, label)
         self.dashed = []  # ((x1, d1), (x2, d2))
@@ -40,20 +40,20 @@ def _place(node, x_attach: float, canvas: _Canvas) -> None:
         x_left = x_attach - node.width
     x_right = x_left + node.width
     d_left, d_right = endpoint_depths(node)
-    canvas.chains.append(((x_left, d_left), (x_right, d_right), node.width))
+    canvas.chains.append(((x_left, d_left), (x_right, d_right)))
     canvas.points.append((x_left, d_left))
     canvas.points.append((x_right, d_right))
     if node.width > 1e-9:
         canvas.texts.append(((x_left + x_right) / 2.0, max(d_left, d_right) + 0.8,
-                             _fmt(node.width), "middle"))
+                             f"{node.width:.3f}", "middle"))
     for child, edge, x_end, d_end in (
         (node.left, node.left_edge, x_left, d_left),
         (node.right, node.right_edge, x_right, d_right),
     ):
         child_top = attach_depth(child)
-        canvas.edges.append(((x_end, d_end), (x_end, child_top), edge))
+        canvas.edges.append(((x_end, d_end), (x_end, child_top)))
         if edge > 1e-9:
-            canvas.texts.append((x_end + 0.4, (d_end + child_top) / 2.0, _fmt(edge), "start"))
+            canvas.texts.append((x_end + 0.4, (d_end + child_top) / 2.0, f"{edge:.3f}", "start"))
         _place(child, x_end, canvas)
 
 
@@ -73,28 +73,28 @@ def _layout(d: Dendrogram):
         canvas.dashed.append(((gap, h_r), (gap, deep)))
         canvas.dashed.append(((0.0, deep), (gap, deep)))
         canvas.texts.append((gap / 2.0, deep + 0.8,
-                             f"chain variant, width {_fmt(chain_geom.chain_width)}", "middle"))
+                             f"chain variant, width {chain_geom.chain_width:.3f}", "middle"))
         # variant 2: single deepest ancestor point O
         x_o = gap / 2.0
         canvas.dashed.append(((x_o, point_geom.depth), (0.0, h_l)))
         canvas.dashed.append(((x_o, point_geom.depth), (gap, h_r)))
         canvas.points.append((x_o, point_geom.depth))
         canvas.texts.append((x_o + 0.4, point_geom.depth + 1.2,
-                             f"O (depth {_fmt(point_geom.depth)})", "start"))
+                             f"O (depth {point_geom.depth:.3f})", "start"))
         canvas.texts.append((x_o, max(h_l, h_r) - 0.8,
-                             f"link {_fmt(d.root.length)}", "middle"))
+                             f"link {d.root.length:.3f}", "middle"))
         top = point_geom.depth
     else:
         _place(d.root, 0.0, canvas)
         top = 0.0
-        for (_, d1), (_, d2), _ in canvas.chains:
+        for (_, d1), (_, d2) in canvas.chains:
             top = max(top, d1, d2)
-        for (_, d1), _, _ in canvas.edges:
+        for (_, d1), _ in canvas.edges:
             top = max(top, d1)
     return canvas, top
 
 
-def render_svg(d: Dendrogram, scale: float = 14.0) -> str:
+def render_svg(d: Dendrogram) -> str:
     """Render the dendrogram to an SVG string (depth to scale, no timestamps)."""
     canvas, top = _layout(d)
     top = max(top, 1.0)
@@ -107,10 +107,10 @@ def render_svg(d: Dendrogram, scale: float = 14.0) -> str:
     label_room = 110.0
 
     def px(x: float) -> float:
-        return margin + (x - x_min) * scale
+        return margin + (x - x_min) * _SCALE
 
     def py(depth: float) -> float:
-        return margin + (top + 1.0 - depth) * scale
+        return margin + (top + 1.0 - depth) * _SCALE
 
     width = px(x_max) + margin + 40.0
     height = py(0.0) + label_room
@@ -125,16 +125,11 @@ def render_svg(d: Dendrogram, scale: float = 14.0) -> str:
     # depth ruler
     axis_x = margin / 2.0
     tick_step = 5 if top <= 60 else 10
-    parts.append(
-        f'<line x1="{axis_x:.1f}" y1="{py(0.0):.1f}" x2="{axis_x:.1f}" '
-        f'y2="{py(top + 1.0):.1f}" stroke="#888" stroke-width="1"/>'
-    )
+    ruler = 'stroke="#888" stroke-width="1"'
+    parts.append(_line(axis_x, py(0.0), axis_x, py(top + 1.0), ruler))
     for tick in range(0, int(math.ceil(top)) + 1, tick_step):
         y = py(float(tick))
-        parts.append(
-            f'<line x1="{axis_x - 3:.1f}" y1="{y:.1f}" x2="{axis_x + 3:.1f}" '
-            f'y2="{y:.1f}" stroke="#888" stroke-width="1"/>'
-        )
+        parts.append(_line(axis_x - 3, y, axis_x + 3, y, ruler))
         parts.append(
             f'<text x="{axis_x - 6:.1f}" y="{y + 4:.1f}" text-anchor="end" '
             f'fill="#555">{tick}</text>'
@@ -144,22 +139,13 @@ def render_svg(d: Dendrogram, scale: float = 14.0) -> str:
         f'fill="#555">swadesh</text>'
     )
 
-    for (x1, d1), (x2, d2) in canvas.dashed:
-        parts.append(
-            f'<line x1="{px(x1):.1f}" y1="{py(d1):.1f}" x2="{px(x2):.1f}" '
-            f'y2="{py(d2):.1f}" stroke="#666" stroke-width="1.2" '
-            f'stroke-dasharray="5,4"/>'
-        )
-    for (x1, d1), (x2, d2), _ in canvas.chains:
-        parts.append(
-            f'<line x1="{px(x1):.1f}" y1="{py(d1):.1f}" x2="{px(x2):.1f}" '
-            f'y2="{py(d2):.1f}" stroke="black" stroke-width="2.6"/>'
-        )
-    for (x1, d1), (x2, d2), _ in canvas.edges:
-        parts.append(
-            f'<line x1="{px(x1):.1f}" y1="{py(d1):.1f}" x2="{px(x2):.1f}" '
-            f'y2="{py(d2):.1f}" stroke="black" stroke-width="1.3"/>'
-        )
+    for segments, style in (
+        (canvas.dashed, 'stroke="#666" stroke-width="1.2" stroke-dasharray="5,4"'),
+        (canvas.chains, 'stroke="black" stroke-width="2.6"'),
+        (canvas.edges, 'stroke="black" stroke-width="1.3"'),
+    ):
+        for (x1, d1), (x2, d2) in segments:
+            parts.append(_line(px(x1), py(d1), px(x2), py(d2), style))
     for x, depth in canvas.points:
         parts.append(
             f'<circle cx="{px(x):.1f}" cy="{py(depth):.1f}" r="2.4" fill="black"/>'

@@ -7,7 +7,8 @@ two leaves at path distance L is exp(-L/100). Chains are crossed as
 segments of their width. Runs are deterministic given the seed: replicate
 sub-seeds come from a fixed splittable scheme, segments are visited in a
 canonical pre-order, and all uniforms for a segment are drawn in one call,
-so serial and parallel runs agree bit for bit.
+so a config and replicate index give the same class matrix bit for bit on
+every run, whichever other replicates are run.
 """
 
 import math

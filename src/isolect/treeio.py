@@ -232,21 +232,24 @@ def dendrogram_from_dict(data: dict, source: str = "<dict>") -> Dendrogram:
     if not isinstance(data, dict) or data.get("format") != "isolect-dendrogram":
         raise InputFormatError(f"{source}: not an isolect dendrogram document")
     root = _field(data, "root", source, "document")
-    if isinstance(root, dict) and root.get("kind") == "root_link":
-        what = "root link"
-        variant = root.get("variant")
-        fraction = None
-        if variant == "parametrized" or root.get("fraction") is not None:
-            fraction = _field(root, "fraction", source, what, float)
-        link = RootLink(
-            length=_field(root, "length", source, what, float),
-            left=_node_from_dict(_field(root, "left", source, what), source),
-            right=_node_from_dict(_field(root, "right", source, what), source),
-            variant=variant,
-            fraction=fraction,
-        )
-        return Dendrogram(link)
-    return Dendrogram(_node_from_dict(root, source))
+    try:
+        if isinstance(root, dict) and root.get("kind") == "root_link":
+            what = "root link"
+            variant = root.get("variant")
+            fraction = None
+            if variant == "parametrized" or root.get("fraction") is not None:
+                fraction = _field(root, "fraction", source, what, float)
+            link = RootLink(
+                length=_field(root, "length", source, what, float),
+                left=_node_from_dict(_field(root, "left", source, what), source),
+                right=_node_from_dict(_field(root, "right", source, what), source),
+                variant=variant,
+                fraction=fraction,
+            )
+            return Dendrogram(link)
+        return Dendrogram(_node_from_dict(root, source))
+    except DomainError as exc:
+        raise InputFormatError(f"{source}: {exc}") from None
 
 
 def save_dendrogram(d: Dendrogram, path) -> None:

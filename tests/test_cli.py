@@ -194,8 +194,11 @@ class TestCalibrate:
         for tag in ("linear", "linear_shifted", "refit_linear", "quadratic", "starostin"):
             assert f"{tag}," in curves
 
-    def test_negative_distance_rejected(self, tmp_path):
+    def test_negative_distance_rejected(self, tmp_path, capsys):
         assert run("calibrate", "--out-dir", tmp_path / "out", "--", "-3") == 2
+        assert capsys.readouterr().err == (
+            "error: swadesh distance must be finite and >= 0, got -3.0\n"
+        )
 
     def test_bad_rate_rejected(self, tmp_path):
         assert run("calibrate", "10", "--lambda", "0", "--out-dir", tmp_path / "o") == 2
@@ -270,12 +273,31 @@ def malformed_tree_document(tree, case):
     if case == "parametrized-without-fraction":
         doc["root"]["variant"] = "parametrized"
         return doc, "root link has bad 'fraction' value None"
+    if case == "negative-width":
+        doc["root"]["left"]["width"] = -1
+        return doc, "chain width must be finite and >= 0, got -1.0"
+    if case == "duplicate-leaf-labels":
+        doc["root"]["right"]["label"] = "1"
+        return doc, "duplicate leaf labels in dendrogram: ['1']"
+    if case == "duplicate-chain-ids":
+        leaves = {"left": {"kind": "leaf", "label": "3"}, "right": {"kind": "leaf", "label": "4"}}
+        doc["root"]["right"] = {**doc["root"]["left"], **leaves}
+        return doc, "duplicate chain ids in dendrogram: ['n1']"
     return [doc], "not an isolect dendrogram document"
 
 
 class TestMalformedTree:
     @pytest.mark.parametrize(
-        "case", ["chain-without-width", "no-root", "list", "parametrized-without-fraction"]
+        "case",
+        [
+            "chain-without-width",
+            "no-root",
+            "list",
+            "parametrized-without-fraction",
+            "negative-width",
+            "duplicate-leaf-labels",
+            "duplicate-chain-ids",
+        ],
     )
     @pytest.mark.parametrize("command", ["render", "simulate"])
     def test_exits_2_naming_file_and_key(self, tmp_path, capsys, fig4_tree, command, case):
@@ -288,6 +310,13 @@ class TestMalformedTree:
         assert run(command, "--input", source, "--out-dir", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert "bad_tree.json" in err and expected in err
+
+    def test_inline_tree_fault_names_config(self, tmp_path, capsys, fig4_tree):
+        doc, expected = malformed_tree_document(fig4_tree, "duplicate-chain-ids")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tree": doc, "slots": 10, "seed": 1}))
+        assert run("simulate", "--input", cfg, "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {expected}\n"
 
 
 # SHA-256 of each command's files, with the files in the order their

@@ -215,3 +215,17 @@ class TestFitReport:
 def test_public_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+class TestNames:
+    def test_duplicate_chain_ids_rejected(self):
+        def cherry(a, b):
+            return ChainNode("n1", 2.0, Leaf(a), Leaf(b), 5.0, 5.0)
+
+        with pytest.raises(DomainError, match=r"duplicate chain ids in dendrogram: \['n1'\]"):
+            Dendrogram(RootLink(10.0, cherry("a", "b"), cherry("c", "d")))
+
+    def test_leaf_may_share_a_chain_id(self):
+        tree = Dendrogram(RootLink(10.0, ChainNode("n1", 2.0, Leaf("n1"), Leaf("b"), 5.0, 5.0),
+                                   Leaf("c")))
+        assert tree.clades() == {"n1": frozenset({"n1", "b"})}
