@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 runtime error, 2 input validation error.
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -419,17 +420,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as ``warning: <text>``, without the package's file and line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (InputFormatError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (IsolectError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (InputFormatError, DomainError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (IsolectError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def entry() -> None:

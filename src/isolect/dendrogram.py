@@ -408,9 +408,10 @@ def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:
     c_meas = measured.values[rows, cols]
     l_meas = _distance_values(measured)[rows, cols]
     l_theo = _paths(d)[1][at[rows], at[cols]]
-    # the scalar conversion is kept: np.exp differs from it in the last bit
-    # on some inputs
-    c_theo = np.array([coincidence_from_distance(l) for l in l_theo.tolist()])
+    # the scalar formula of coincidence_from_distance, without its domain
+    # check (tree paths are finite and nonnegative): np.exp differs from it
+    # in the last bit on some inputs
+    c_theo = np.array([100.0 * math.exp(-l / 100.0) for l in l_theo.tolist()])
     res_l = l_theo - l_meas
     res_c = c_theo - c_meas
     if pairs:

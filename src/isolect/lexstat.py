@@ -124,6 +124,8 @@ class CoincidenceMatrix(_LabelledMatrix):
     labels: tuple
     values: np.ndarray
     list_size: int = 100
+    # the swadesh distances, filled in by the first ``_distance_values(self)``
+    _distances: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = _check_labels(self.labels)
@@ -154,16 +156,24 @@ class DistanceMatrix(_LabelledMatrix):
 def _distance_values(m: CoincidenceMatrix) -> np.ndarray:
     """The k x k swadesh distances of ``m``'s coincidences, zero on the diagonal.
 
-    Every entry comes from the scalar formula of ``distance_from_coincidence``
-    (``np.log`` differs from ``math.log`` in the last bit on some inputs). The
-    entries need no domain check: a ``CoincidenceMatrix`` is validated when it
-    is built and its values are read-only.
+    Computed once per matrix and kept on it, read-only like the ``values``
+    it comes from. Every entry comes from the scalar formula of
+    ``distance_from_coincidence`` (``np.log`` differs from ``math.log`` in
+    the last bit on some inputs), applied once per distinct coincidence: a
+    list of n words gives at most n distinct percentages. The entries need
+    no domain check: a ``CoincidenceMatrix`` is validated when it is built.
     """
-    rows, cols = np.triu_indices(m.k, 1)
-    upper = m.values[rows, cols]
-    out = np.zeros((m.k, m.k))
-    out[rows, cols] = [100.0 * math.log(100.0 / c) for c in upper.tolist()]
-    return out + out.T
+    out = m._distances
+    if out is None:
+        rows, cols = np.triu_indices(m.k, 1)
+        distinct, inverse = np.unique(m.values[rows, cols], return_inverse=True)
+        logs = np.array([100.0 * math.log(100.0 / c) for c in distinct.tolist()])
+        out = np.zeros((m.k, m.k))
+        out[rows, cols] = logs[inverse]
+        out = out + out.T
+        out.setflags(write=False)
+        object.__setattr__(m, "_distances", out)
+    return out
 
 
 def distance_matrix(m: CoincidenceMatrix) -> DistanceMatrix:

@@ -306,6 +306,52 @@ def _level_width_map(d: Dendrogram) -> np.ndarray:
     return T
 
 
+def _map_index(T: np.ndarray) -> tuple:
+    """Where the nonzeros of a level/width map ``T`` sit, to apply it by index.
+
+    A row of ``T`` holds at most one +1 and one -1; a column at most two +1
+    and one -1, since a level column is the two lines below its chain minus
+    the line above it and a width or root-link column picks its own row.
+    Returns ``(up, down, first, second, above)``: per row the column of its
+    +1 and of its -1, per column the rows of its two +1 and of its -1, with
+    -1 where there is none.
+    """
+    up, down = np.full(T.shape[0], -1), np.full(T.shape[0], -1)
+    first, second, above = (np.full(T.shape[1], -1) for _ in range(3))
+    rows, cols = np.nonzero(T < 0)
+    down[rows], above[cols] = cols, rows
+    rows, cols = np.nonzero(T > 0)
+    up[rows] = cols
+    cols, rows = np.nonzero(T.T > 0)  # by column, rows ascending
+    lead = np.r_[True, cols[1:] != cols[:-1]]
+    first[cols[lead]] = rows[lead]
+    second[cols[~lead]] = rows[~lead]
+    return up, down, first, second, above
+
+
+def _map_rows(index: tuple, X: np.ndarray) -> np.ndarray:
+    """``T @ X`` for the map behind ``index``, with no dense product."""
+    up, down = index[:2]
+    out = np.zeros((up.size, *X.shape[1:]))
+    out[up >= 0] = X[up[up >= 0]]
+    out[down >= 0] -= X[down[down >= 0]]
+    return out
+
+
+def _map_columns(index: tuple, X: np.ndarray) -> np.ndarray:
+    """``T.T @ X`` for the map behind ``index``, with no dense product.
+
+    Every column of a map holds a +1. The terms are added in ascending row
+    order, ``(first - above) + second`` (a chain's parent comes first in
+    pre-order), which is how a matrix product sums down a column of ``T``.
+    """
+    first, second, above = index[2:]
+    out = X[first]
+    out[above >= 0] -= X[above[above >= 0]]
+    out[second >= 0] += X[second[second >= 0]]
+    return out
+
+
 def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Nonnegative least squares: the ``u >= 0`` that minimizes ``|E u - f|``.
 
@@ -318,11 +364,22 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
     tolerance follows ``scipy.optimize.nnls``, and so does the cap of ``3 n``
     iterations (``n`` the column count), counted here as passive-set solves;
     reaching it raises ``RuntimeError``.
+
+    The passive columns are kept in entering order with a thin QR factor
+    ``Q R``, and each subproblem is the triangular solve ``R s = Q^T f``. A
+    column that enters is appended by Gram-Schmidt with one
+    re-orthogonalization and dropped again if it does not stay; only a
+    blocking step, which removes columns, refactors from scratch. As in the
+    reference code, a column that depends on the passive ones to working
+    precision (0.01 of its new diagonal entry is lost against the norm of
+    its projection) does not enter either, so the passive set keeps full
+    column rank.
     """
     m, n = E.shape
     tol = 10.0 * np.finfo(float).eps * max(m, n) * np.linalg.norm(E, 1)
     u = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
+    passive = []  # column indices in entering order, the column order of Q and R
+    Q, R = np.zeros((m, 0)), np.zeros((0, 0))
     w = E.T @ f
     solves = 0
 
@@ -332,24 +389,40 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
         if solves > 3 * n:
             raise RuntimeError(f"nonnegative least squares did not converge in {3 * n} solves")
         s = np.zeros(n)
-        s[passive] = np.linalg.lstsq(E[:, passive], f, rcond=None)[0]
+        s[passive] = np.linalg.solve(R, Q.T @ f)  # R is upper triangular: LU does not pivot
         return s
 
-    while not passive.all():
-        j = np.argmax(np.where(passive, -np.inf, w))
+    while len(passive) < n:
+        candidates = w.copy()
+        candidates[passive] = -np.inf
+        j = int(np.argmax(candidates))
         if w[j] <= tol:
             break
-        passive[j] = True
-        s = solve()
-        if s[j] <= 0.0:
-            passive[j] = False
+        r = Q.T @ E[:, j]
+        q = E[:, j] - Q @ r
+        again = Q.T @ q
+        q -= Q @ again
+        r += again
+        diagonal, norm = np.linalg.norm(q), np.linalg.norm(r)
+        if norm + 0.01 * diagonal <= norm:  # dependent to working precision
             w[j] = 0.0
             continue
-        while (blocking := passive & (s < 0.0)).any():
+        Q = np.column_stack((Q, q / diagonal))
+        R = np.block([[R, r[:, None]], [np.zeros((1, R.shape[1])), diagonal]])
+        passive.append(j)
+        s = solve()
+        if s[j] <= 0.0:
+            passive.pop()
+            Q, R = Q[:, :-1], R[:-1, :-1]
+            w[j] = 0.0
+            continue
+        while (s[passive] < 0.0).any():
             # step from u towards s until the first passive entry reaches zero
+            blocking = [i for i in passive if s[i] < 0.0]
             alpha = np.min(u[blocking] / (u[blocking] - s[blocking]))
             u += alpha * (s - u)
-            passive &= u > tol
+            passive = [i for i in passive if u[i] > tol]
+            Q, R = np.linalg.qr(E[:, passive])
             s = solve()
         u = s
         w = E.T @ (f - E @ u)
@@ -405,26 +478,32 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
         top = len(d.chain_nodes())  # the root chain's width column
         held = T[:, top] * d.root.width
         T = np.delete(T, top, axis=1)
-    lower = np.linalg.cholesky(T.T @ gram @ T)  # R^T
-    c = np.linalg.solve(lower, T.T @ (across - gram @ held))
+    # T is applied by index from here: it has at most two nonzeros per row
+    # and three per column, all of them +-1
+    index = _map_index(T)
+    del T
+    # R^-T, the inverse of the Cholesky factor of T^T gram T, for c, the dual and y
+    inverse = np.linalg.inv(np.linalg.cholesky(_map_columns(index, _map_columns(index, gram).T)))
+    c = inverse @ _map_columns(index, across - gram @ held)
     # least-distance program in z = R y - c: min |z| subject to
     # (T R^-1) z >= -(T R^-1 c + held). Its dual is the NNLS problem
     # min |dual u - e| over u >= 0, and z = -r[:-1] / r[-1] for the residual
     # r = dual u - e, where r[-1] < 0 since y = 0 is feasible
-    constraint_t = np.linalg.solve(lower, T.T)  # (T R^-1)^T
+    constraint_t = _map_rows(index, inverse.T).T  # (T R^-1)^T
     dual = np.vstack((constraint_t, -(c @ constraint_t + held)))
     target = np.zeros(dual.shape[0])
     target[-1] = 1.0
     residual = dual @ _nnls(dual, target) - target
     z = -residual[:-1] / residual[-1]
-    y = np.maximum(np.linalg.solve(lower.T, z + c), 0.0)
+    y = np.maximum(inverse.T @ (z + c), 0.0)
     # remove rounding-level violations: raise each chain to the highest child
     # it joins, children first (they follow their parents in pre-order), so
     # that every level difference is exactly nonnegative
-    edges, children = np.nonzero(T < 0)
-    for parent, child in zip(edges[::-1] // 3, children[::-1]):
+    down = index[1]  # per length, the chain whose level it subtracts, or -1
+    edges = np.flatnonzero(down >= 0)[::-1]
+    for parent, child in zip(edges // 3, down[edges]):
         y[parent] = max(y[parent], y[child])
-    candidate = _with_lengths(d, T @ y + held)
+    candidate = _with_lengths(d, _map_rows(index, y) + held)
 
     # both sums of squares from path matrices, which keeps them exact when
     # the fit is: the expanded normal form cancels near zero

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -128,6 +129,21 @@ class TestBuild:
             text = (tmp_path / name).read_text()
             assert line in text.splitlines()
             assert "-0.000" not in text
+
+    @pytest.mark.parametrize(
+        "table, pair, excess",
+        [("table1", "n1, nrus_romani", "0.965"), ("table2", "hindi, panjabi", "3.487")],
+    )
+    def test_clamp_warnings_on_stderr(self, data_dir, tmp_path, capsys, table, pair, excess):
+        # the clamp message alone, under Python's default warning filter: no
+        # package file, line number or echoed source line
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            run("build", "--input", data_dir / f"{table}.csv", "--out-dir", tmp_path)
+        assert capsys.readouterr().err == (
+            f"warning: join of ({pair}) contradicts the built geometry; "
+            f"verticals clamped, path excess {excess} swadesh\n"
+        )
 
     def test_two_language_family_description(self, tmp_path):
         src = tmp_path / "m.csv"

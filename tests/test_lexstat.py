@@ -18,6 +18,7 @@ from isolect import (
     distance_from_coincidence,
     distance_matrix,
 )
+from isolect.lexstat import _distance_values
 
 # frozen high-precision evaluations of 100*ln(100/C)
 L_79 = 23.572233352106983
@@ -80,6 +81,29 @@ class TestCoincidenceMatrix:
         dm = distance_matrix(m)
         for a, b, c in m.pairs():
             assert dm.value(a, b) == dm.value(b, a) == distance_from_coincidence(c)
+
+    def test_distances_converted_once_and_read_only(self, table1):
+        first = _distance_values(table1)
+        assert _distance_values(table1) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 1] = 5.0
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+    def test_distance_values_bitwise(self, repeated):
+        # the formula runs once per distinct coincidence; whole percentages
+        # of a 100-word list repeat across 780 pairs
+        rng = np.random.default_rng(4)
+        k = 40
+        draw = rng.integers(1, 101, (k, k)).astype(float) if repeated else rng.uniform(1.0, 100.0, (k, k))
+        upper = np.triu(draw, 1)
+        m = CoincidenceMatrix([f"L{i}" for i in range(k)], upper + upper.T)
+        distinct = np.unique(m.values[np.triu_indices(k, 1)]).size
+        assert (distinct <= 100) if repeated else (distinct == k * (k - 1) // 2)
+        expected = np.zeros((k, k))
+        for i, j in zip(*np.nonzero(~np.eye(k, dtype=bool))):
+            expected[i, j] = distance_from_coincidence(float(m.values[i, j]))
+        assert _distance_values(m).tobytes() == expected.tobytes()
 
     def test_symmetry_required(self):
         with pytest.raises(DomainError, match="asymmetric"):

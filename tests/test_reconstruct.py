@@ -35,7 +35,7 @@ from isolect.dendrogram import (
     attach_depth,
     endpoint_depths,
 )
-from isolect.reconstruct import _level_width_map, _nnls
+from isolect.reconstruct import _level_width_map, _map_columns, _map_index, _map_rows, _nnls
 
 
 def matrix_from_distances(labels, dist) -> CoincidenceMatrix:
@@ -728,6 +728,30 @@ class TestLevelWidthPolish:
             assert rank == T.shape[1] - (not link)
 
     @pytest.mark.parametrize("link", [True, False])
+    def test_map_by_index_equals_dense_products(self, link):
+        # integer-valued operands, like the split counts of the normal
+        # matrix, make each sum exact in any order, so the gathers equal the
+        # dense products to the bit; an entry of T @ X has at most two terms,
+        # exact in any order for any X. Without a root link the root chain's
+        # width column is held out, as in the polish
+        rng = np.random.default_rng(40 if link else 41)
+        for k in range(2, 31):
+            for tree in (random_tree(rng, k, link), horizontal_tree(rng, k, link)):
+                T = _level_width_map(tree)
+                if not link:
+                    T = np.delete(T, len(tree.chain_nodes()), axis=1)
+                index = _map_index(T)
+                M = rng.integers(-60, 60, size=(T.shape[0], T.shape[0])).astype(float)
+                gram = M + M.T
+                R_inv = rng.normal(size=(T.shape[1], T.shape[1]))
+                y = rng.normal(size=T.shape[1])
+                assert _map_columns(index, M).tobytes() == (T.T @ M).tobytes()
+                normal = _map_columns(index, _map_columns(index, gram).T)
+                assert normal.tobytes() == (T.T @ gram @ T).tobytes()
+                assert _map_rows(index, R_inv).tobytes() == (T @ R_inv).tobytes()
+                assert _map_rows(index, y).tobytes() == (T @ y).tobytes()
+
+    @pytest.mark.parametrize("link", [True, False])
     def test_matches_slsqp_oracle(self, link):
         rng = np.random.default_rng(26 if link else 27)
         for k in range(2, 9):
@@ -836,19 +860,40 @@ class TestNNLS:
         np.testing.assert_array_equal(_nnls(E, f), np.zeros(7))
 
     def test_iteration_cap_raises(self, monkeypatch):
-        # a solver under which the column just added always comes out positive
-        # and the older ones negative: the older column blocks, leaves, and is
-        # taken back by the next outer step, so the method never settles
-        before = set()
+        # a triangular solve under which the column just added always comes
+        # out positive and the older ones negative: the older column blocks,
+        # leaves, and is taken back by the next outer step, so the method
+        # never settles. The solution is in entering order, so the newest
+        # column comes last; after a blocking step, which only removes
+        # columns, every coefficient comes out positive
+        sizes = [0]
 
-        def cycling_lstsq(A, b, rcond=None):
-            columns = A.argmax(axis=0).tolist()  # A holds columns of the identity
-            new = set(columns) - before
-            before.clear()
-            before.update(columns)
-            s = np.array([1.0 if c in new or not new else -1.0 for c in columns])
-            return s, None, None, None
+        def cycling_solve(R, b):
+            s = np.ones(b.size)
+            if b.size > sizes[-1]:
+                s[:-1] = -1.0
+            sizes.append(b.size)
+            return s
 
-        monkeypatch.setattr(np.linalg, "lstsq", cycling_lstsq)
+        monkeypatch.setattr(np.linalg, "solve", cycling_solve)
         with pytest.raises(RuntimeError, match="did not converge in 6 solves"):
             _nnls(np.eye(2), np.ones(2))
+        assert sizes[1:] == [1, 2, 1, 2, 1, 2]
+
+    @pytest.mark.parametrize("seed", [12, 29, 32])
+    def test_dependent_column_stays_out(self, seed):
+        # the third column is the sum of the other two and the target lies
+        # far outside their span: once two columns are passive, rounding
+        # leaves the third a gradient above the tolerance (on these seeds),
+        # so it is chosen, and it must not enter, or the passive set loses
+        # column rank. Which two columns stay is not unique; the fit is
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=6), rng.normal(size=6)
+        E = np.column_stack((a, b, a + b))
+        f = rng.normal(size=6) * 1e12
+        u, expected = _nnls(E, f), optimize.nnls(E, f)[0]
+        tol = 10.0 * np.finfo(float).eps * max(E.shape) * np.linalg.norm(E, 1)
+        assert np.count_nonzero(u) == 2 and np.all(u >= 0.0)
+        assert np.all((E.T @ (f - E @ u))[u == 0.0] > tol)
+        np.testing.assert_allclose(E @ u, E @ expected, rtol=0.0, atol=1e-10 * np.abs(f).max())
