@@ -17,11 +17,9 @@ def evolve_slots(parent, uniforms, prob, next_id):
     parent = np.ascontiguousarray(parent, dtype=np.int64)
     uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
     child = parent.copy()
-    mask = uniforms < prob
-    n_new = int(np.count_nonzero(mask))
-    if n_new:
-        child[mask] = np.arange(next_id, next_id + n_new, dtype=np.int64)
-    return child, next_id + n_new
+    fresh = np.flatnonzero(uniforms < prob)
+    child[fresh] = np.arange(next_id, next_id + fresh.size, dtype=np.int64)
+    return child, next_id + fresh.size
 
 
 def pair_shared_counts(classes):

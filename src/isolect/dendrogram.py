@@ -11,7 +11,7 @@ root link of known length but undetermined configuration.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -108,6 +108,8 @@ class Dendrogram:
     """A reconstructed family: a root link over two subtrees, or one node."""
 
     root: Union[RootLink, Node]
+    # the free lengths, leaf paths and splits, filled in by the first ``_paths(self)``
+    _walk: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(_preorder(self.root))
@@ -205,7 +207,11 @@ def _paths(d: Dendrogram):
     Each path is summed from both of its leaves up to where they meet, and
     the two sides are joined as ``(up_a + meet) + up_b``, which fixes the
     rounding of every distance independently of the layout.
+
+    Computed once per tree and kept on it; the three arrays are read-only.
     """
+    if d._walk is not None:
+        return d._walk
     k = len(d.leaves())
     link = isinstance(d.root, RootLink)
     values = []
@@ -244,7 +250,11 @@ def _paths(d: Dendrogram):
         S[: meet(0, left, d.root.length, right)[0], -1] = True
     else:
         up(d.root, 0)
-    return np.array(values), D, S
+    walk = (np.array(values), D, S)
+    for array in walk:
+        array.setflags(write=False)
+    object.__setattr__(d, "_walk", walk)
+    return walk
 
 
 def _leaf_positions(d: Dendrogram, labels) -> np.ndarray:

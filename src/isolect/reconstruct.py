@@ -29,7 +29,9 @@ least-squares problem; it is solved exactly through the least-distance dual
 of Lawson & Hanson (1974, ch. 23), one small nonnegative least-squares
 problem, and its optimum is unique. The solver is in the package and needs
 numpy alone: the normal equations are counted from the tree's split matrix,
-and the dual goes to the Lawson-Hanson active-set method (``_nnls``).
+whose paths are computed once per tree, the Cholesky factor of the normal
+matrix is inverted blockwise as a triangle, and the dual goes to the
+Lawson-Hanson active-set method (``_nnls``).
 """
 
 import math
@@ -202,13 +204,13 @@ def build_dendrogram(m: CoincidenceMatrix) -> tuple:
     depth = [0.0] * dm.k
     # observers in input label order, new nodes appended: this order fixes
     # the rounding of the mean signed difference and the order of warnings
-    active = sorted(range(dm.k), key=by_key.__getitem__)
+    active = np.argsort(by_key)
 
     steps = []
-    while len(active) > 2:
+    while active.size > 2:
         u, v = divmod(int(np.argmin(dist)), dm.k)  # u < v: the first minimum is above the diagonal
         l_pair = float(dist[u, v])
-        observers = [s for s in active if s != u and s != v]
+        observers = active[(active != u) & (active != v)]
         to_u, to_v = dist[u, observers], dist[v, observers]
         diffs = (to_u - to_v).tolist()
         dbar = sum(diffs) / len(diffs)
@@ -245,19 +247,18 @@ def build_dendrogram(m: CoincidenceMatrix) -> tuple:
                 right_vertical=right_vertical,
                 orientation=attach_side,
                 observer_residuals=tuple(
-                    (uid[s], diff - dbar) for s, diff in zip(observers, diffs)
+                    (uid[s], diff - dbar) for s, diff in zip(observers.tolist(), diffs)
                 ),
                 path_residual=max(0.0, path_residual),
             )
         )
 
         stems = (to_u + to_v - l_pair) / 2.0
-        for s, stem in zip(observers, stems.tolist()):
-            if stem < 0.0:
-                warnings.warn(
-                    f"negative stem distance from {node_id} to {uid[s]} clamped to 0",
-                    stacklevel=2,
-                )
+        for s in observers[stems < 0.0].tolist():
+            warnings.warn(
+                f"negative stem distance from {node_id} to {uid[s]} clamped to 0",
+                stacklevel=2,
+            )
         np.maximum(stems, 0.0, out=stems)
         dist[u, observers] = dist[observers, u] = stems
         dist[v, :] = dist[:, v] = np.inf
@@ -271,9 +272,9 @@ def build_dendrogram(m: CoincidenceMatrix) -> tuple:
             attach_side=attach_side,
         )
         uid[u], depth[u] = node_id, level
-        active = observers + [u]
+        active = np.append(observers, u)
 
-    a, b = sorted(active)
+    a, b = sorted(active.tolist())
     tree = Dendrogram(RootLink(length=float(dist[a, b]), left=nodes[a], right=nodes[b]))
     return tree, tuple(steps)
 
@@ -373,13 +374,14 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
     reference code, a column that depends on the passive ones to working
     precision (0.01 of its new diagonal entry is lost against the norm of
     its projection) does not enter either, so the passive set keeps full
-    column rank.
+    column rank. ``Q`` and ``R`` live in preallocated storage, written in
+    place, whose column capacity doubles whenever the passive set fills it.
     """
     m, n = E.shape
     tol = 10.0 * np.finfo(float).eps * max(m, n) * np.linalg.norm(E, 1)
     u = np.zeros(n)
     passive = []  # column indices in entering order, the column order of Q and R
-    Q, R = np.zeros((m, 0)), np.zeros((0, 0))
+    Q, R = np.empty((m, min(n, 32))), np.empty((min(n, 32),) * 2)  # in use: [:, :p], [:p, :p]
     w = E.T @ f
     solves = 0
 
@@ -388,8 +390,10 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
         solves += 1
         if solves > 3 * n:
             raise RuntimeError(f"nonnegative least squares did not converge in {3 * n} solves")
+        p = len(passive)
         s = np.zeros(n)
-        s[passive] = np.linalg.solve(R, Q.T @ f)  # R is upper triangular: LU does not pivot
+        # R is upper triangular: LU does not pivot
+        s[passive] = np.linalg.solve(R[:p, :p], Q[:, :p].T @ f)
         return s
 
     while len(passive) < n:
@@ -398,22 +402,24 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
         j = int(np.argmax(candidates))
         if w[j] <= tol:
             break
-        r = Q.T @ E[:, j]
-        q = E[:, j] - Q @ r
-        again = Q.T @ q
-        q -= Q @ again
+        p = len(passive)
+        r = Q[:, :p].T @ E[:, j]
+        q = E[:, j] - Q[:, :p] @ r
+        again = Q[:, :p].T @ q
+        q -= Q[:, :p] @ again
         r += again
         diagonal, norm = np.linalg.norm(q), np.linalg.norm(r)
         if norm + 0.01 * diagonal <= norm:  # dependent to working precision
             w[j] = 0.0
             continue
-        Q = np.column_stack((Q, q / diagonal))
-        R = np.block([[R, r[:, None]], [np.zeros((1, R.shape[1])), diagonal]])
+        if p == len(R):
+            Q, R = np.pad(Q, ((0, 0), (0, min(p, n - p)))), np.pad(R, (0, min(p, n - p)))
+        Q[:, p] = q / diagonal
+        R[:p, p], R[p, :p], R[p, p] = r, 0.0, diagonal
         passive.append(j)
         s = solve()
         if s[j] <= 0.0:
             passive.pop()
-            Q, R = Q[:, :-1], R[:-1, :-1]
             w[j] = 0.0
             continue
         while (s[passive] < 0.0).any():
@@ -422,11 +428,30 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
             alpha = np.min(u[blocking] / (u[blocking] - s[blocking]))
             u += alpha * (s - u)
             passive = [i for i in passive if u[i] > tol]
-            Q, R = np.linalg.qr(E[:, passive])
+            p = len(passive)
+            Q[:, :p], R[:p, :p] = np.linalg.qr(E[:, passive])
             s = solve()
         u = s
         w = E.T @ (f - E @ u)
     return u
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """The inverse of a lower-triangular matrix, by halves.
+
+    ``inv([[A, 0], [B, C]]) = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]``, so the
+    work is two half-size inverses and two products of triangles; blocks of
+    at most 64 rows go to ``np.linalg.inv``.
+    """
+    n = len(L)
+    if n <= 64:
+        return np.linalg.inv(L)
+    h = n // 2
+    out = np.zeros_like(L)
+    out[:h, :h] = _lower_inverse(L[:h, :h])
+    out[h:, h:] = _lower_inverse(L[h:, h:])
+    out[h:, :h] = -out[h:, h:] @ (L[h:, :h] @ out[:h, :h])
+    return out
 
 
 def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendrogram:
@@ -470,6 +495,7 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     size = np.diag(both)
     only_l, only_m = size[:, None] - both, size[None, :] - both
     gram = both * (measured.k - only_l - only_m - both) + only_l * only_m
+    del both, only_l, only_m
     across = ((F.T @ measured_paths) * ~S.T).sum(axis=1)
 
     T = _level_width_map(d)
@@ -483,18 +509,20 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     index = _map_index(T)
     del T
     # R^-T, the inverse of the Cholesky factor of T^T gram T, for c, the dual and y
-    inverse = np.linalg.inv(np.linalg.cholesky(_map_columns(index, _map_columns(index, gram).T)))
+    inverse = _lower_inverse(np.linalg.cholesky(_map_columns(index, _map_columns(index, gram).T)))
     c = inverse @ _map_columns(index, across - gram @ held)
     # least-distance program in z = R y - c: min |z| subject to
     # (T R^-1) z >= -(T R^-1 c + held). Its dual is the NNLS problem
-    # min |dual u - e| over u >= 0, and z = -r[:-1] / r[-1] for the residual
-    # r = dual u - e, where r[-1] < 0 since y = 0 is feasible
+    # min |dual u - e| over u >= 0, and z = r[:-1] / |r|^2 for the residual
+    # r = dual u - e: at the optimum r^T (dual u) = 0, so |r|^2 = -r[-1],
+    # which is positive since y = 0 is feasible. r[-1] itself comes out of a
+    # cancellation and would carry the solver's rounding into z a millionfold
     constraint_t = _map_rows(index, inverse.T).T  # (T R^-1)^T
     dual = np.vstack((constraint_t, -(c @ constraint_t + held)))
     target = np.zeros(dual.shape[0])
     target[-1] = 1.0
     residual = dual @ _nnls(dual, target) - target
-    z = -residual[:-1] / residual[-1]
+    z = residual[:-1] / (residual @ residual)
     y = np.maximum(inverse.T @ (z + c), 0.0)
     # remove rounding-level violations: raise each chain to the highest child
     # it joins, children first (they follow their parents in pre-order), so

@@ -84,26 +84,33 @@ def parse_coincidence_matrix(text: str, source: str = "<string>") -> Coincidence
                 f"{source}, line {lineno}: row label {fields[0]!r} does not match "
                 f"header label {header[i]!r} (rows must follow header order)"
             )
-        for j, cell in enumerate(fields[1:]):
-            column = j + 2  # 1-based, counting the row label as column 1
-            if i == j:
-                if cell != "-":
-                    raise InputFormatError(
-                        f"{source}, line {lineno}, column {column}: diagonal cell "
-                        f"must be '-', got {cell!r}"
-                    )
-                continue
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise InputFormatError(
-                    f"{source}, line {lineno}, column {column}: not a number: {cell!r}"
-                ) from None
+        cells = fields[1:]
+        try:
+            if cells[i] != "-":
+                raise ValueError
+            values[i, :i] = [float(cell) for cell in cells[:i]]
+            values[i, i + 1 :] = [float(cell) for cell in cells[i + 1 :]]
+        except ValueError:
+            raise _cell_error(source, lineno, i, cells) from None
     kwargs = {"list_size": list_size} if list_size is not None else {}
     try:
         return CoincidenceMatrix(tuple(header), values, **kwargs)
     except DomainError as exc:
         raise InputFormatError(f"{source}: {exc}") from None
+
+
+def _cell_error(source: str, lineno: int, i: int, cells: list) -> InputFormatError:
+    """The located error for the first bad cell, in column order, of value row ``i``."""
+    for j, cell in enumerate(cells):
+        where = f"{source}, line {lineno}, column {j + 2}"  # the row label is column 1
+        if j == i:
+            if cell != "-":
+                return InputFormatError(f"{where}: diagonal cell must be '-', got {cell!r}")
+            continue
+        try:
+            float(cell)
+        except ValueError:
+            return InputFormatError(f"{where}: not a number: {cell!r}")
 
 
 def read_coincidence_matrix(path) -> CoincidenceMatrix:

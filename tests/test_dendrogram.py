@@ -20,7 +20,15 @@ from isolect import (
     root_variants,
     theoretical_matrix,
 )
-from isolect.dendrogram import ChainNode, Dendrogram, Leaf, RootLink, ancestor_depth
+from isolect.dendrogram import (
+    ChainNode,
+    Dendrogram,
+    Leaf,
+    RootLink,
+    _paths,
+    _with_lengths,
+    ancestor_depth,
+)
 
 
 class TestPathDistance:
@@ -229,3 +237,24 @@ class TestNames:
         tree = Dendrogram(RootLink(10.0, ChainNode("n1", 2.0, Leaf("n1"), Leaf("b"), 5.0, 5.0),
                                    Leaf("c")))
         assert tree.clades() == {"n1": frozenset({"n1", "b"})}
+
+
+class TestPathCache:
+    def test_paths_are_kept_read_only_on_the_tree(self, fig4_tree):
+        first = _paths(fig4_tree)
+        assert all(again is array for again, array in zip(_paths(fig4_tree), first))
+        for array in first:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+        # the cache is left out of equality and repr
+        assert _with_lengths(fig4_tree, first[0]) == fig4_tree
+        assert "_walk" not in repr(fig4_tree)
+
+    def test_new_lengths_get_their_own_paths(self, fig4_tree):
+        values, D, _ = _paths(fig4_tree)
+        shifted = _with_lengths(fig4_tree, values + 1.0)
+        assert shifted._walk is None
+        np.testing.assert_array_equal(_paths(shifted)[0], values + 1.0)
+        assert _paths(shifted)[1][0, 2] == D[0, 2] + 3.0  # a line, the width and the root link
+        assert _paths(fig4_tree)[1] is D

@@ -35,7 +35,14 @@ from isolect.dendrogram import (
     attach_depth,
     endpoint_depths,
 )
-from isolect.reconstruct import _level_width_map, _map_columns, _map_index, _map_rows, _nnls
+from isolect.reconstruct import (
+    _level_width_map,
+    _lower_inverse,
+    _map_columns,
+    _map_index,
+    _map_rows,
+    _nnls,
+)
 
 
 def matrix_from_distances(labels, dist) -> CoincidenceMatrix:
@@ -897,3 +904,50 @@ class TestNNLS:
         assert np.count_nonzero(u) == 2 and np.all(u >= 0.0)
         assert np.all((E.T @ (f - E @ u))[u == 0.0] > tol)
         np.testing.assert_allclose(E @ u, E @ expected, rtol=0.0, atol=1e-10 * np.abs(f).max())
+
+
+    def test_passive_set_beyond_initial_capacity(self):
+        # the factor's storage starts at 32 columns and doubles when full:
+        # here every one of the 90 columns ends up passive, so it grows to 64
+        # and then to the column count
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(8)
+        E = rng.normal(size=(120, 90))
+        f = E @ rng.uniform(0.5, 1.5, size=90) + rng.normal(scale=0.1, size=120)
+        u, expected = _nnls(E, f), optimize.nnls(E, f)[0]
+        assert np.count_nonzero(u) == 90
+        np.testing.assert_array_equal(u > 0.0, expected > 0.0)
+        np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 397])
+def test_lower_inverse(n):
+    # 64 rows and fewer go to np.linalg.inv whole; 65 splits once, 397 (the
+    # factor's size at k=200) three times
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, n))
+    L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
+    inverse = _lower_inverse(L)
+    np.testing.assert_allclose(L @ inverse, np.eye(n), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(inverse, np.linalg.inv(L), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("k, sd", [(20, 8.0), (50, 2.0), (50, 8.0), (200, 2.0), (200, 8.0)])
+def test_polish_does_not_depend_on_the_nnls_solver(k, sd, monkeypatch):
+    # the least-distance solution is recovered from the dual residual r as
+    # r[:-1] / |r|^2, which is as well determined as r itself; from r[-1]
+    # alone, a cancellation, the two solvers' rounding showed up a
+    # millionfold. The bound is relative to the longest length (about 140
+    # swadesh at k=200)
+    optimize = pytest.importorskip("scipy.optimize")
+    import isolect.reconstruct as reconstruct
+
+    rng = np.random.default_rng([k, int(sd)])
+    m = noisy_matrix(rng, horizontal_tree(rng, k), sd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        greedy = build_dendrogram(m)[0]
+    polished = _paths(redistribute_residuals(greedy, m))[0]
+    monkeypatch.setattr(reconstruct, "_nnls", lambda E, f: optimize.nnls(E, f)[0])
+    expected = _paths(redistribute_residuals(greedy, m))[0]
+    np.testing.assert_allclose(polished, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())

@@ -103,6 +103,20 @@ class TestMatrixFormat:
             parse_coincidence_matrix(text, source="bad.csv")
         assert str(err.value) == f"bad.csv: {message}"
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("y,fifty,0,50", "line 3, column 2: not a number: 'fifty'"),
+            ("y,50,0,fifty", "line 3, column 3: diagonal cell must be '-', got '0'"),
+        ],
+        ids=["number-first", "diagonal-first"],
+    )
+    def test_first_bad_cell_of_a_row_is_reported(self, row, message):
+        text = f"x,y,z\nx,-,50,50\n{row}\nz,50,50,-\n"
+        with pytest.raises(InputFormatError) as err:
+            parse_coincidence_matrix(text, source="bad.csv")
+        assert str(err.value) == f"bad.csv, {message}"
+
 
 GOOD_COGNACY = """\
 language\tslot\tclass\tborrowed
