@@ -298,12 +298,13 @@ def cmd_calibrate(args) -> int:
     lines = ["\t".join(("distance",) + decay.CURVE_TAGS)]
     for l in args.distances:
         lines.append("\t".join(f"{x:.3f}" for x in [l] + [law(l) for law in laws]))
-    _write(args, "times.txt", "\n".join(lines) + "\n")
+    # both tables before either file, so that bad input leaves no partial output
     curves = decay.sample_curves(args.l_max, args.step, params, t0=args.t0)
     rows = ["curve,distance,time"]
     for curve in curves:
         for l, t in zip(curve.distances, curve.times):
             rows.append(f"{curve.tag},{l:.3f},{t:.3f}")
+    _write(args, "times.txt", "\n".join(lines) + "\n")
     _write(args, "curves.csv", "\n".join(rows) + "\n")
     return 0
 

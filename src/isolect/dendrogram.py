@@ -413,7 +413,9 @@ def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:
     Residuals are theoretical minus measured; RMS is taken over all pairs.
     """
     at = _leaf_positions(d, measured.labels)
-    pairs = tuple(itertools.combinations(measured.labels, 2))  # row-major, i < j
+    if measured._pairs is None:  # built once per matrix
+        object.__setattr__(measured, "_pairs", tuple(itertools.combinations(measured.labels, 2)))
+    pairs = measured._pairs
     rows, cols = np.triu_indices(measured.k, 1)
     c_meas = measured.values[rows, cols]
     l_meas = _distance_values(measured)[rows, cols]

@@ -126,6 +126,8 @@ class CoincidenceMatrix(_LabelledMatrix):
     list_size: int = 100
     # the swadesh distances, filled in by the first ``_distance_values(self)``
     _distances: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    # the label pairs in row-major i < j order, filled in by the first ``fit_report``
+    _pairs: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = _check_labels(self.labels)

@@ -28,10 +28,13 @@ constraint that no length is negative makes it an inequality-constrained
 least-squares problem; it is solved exactly through the least-distance dual
 of Lawson & Hanson (1974, ch. 23), one small nonnegative least-squares
 problem, and its optimum is unique. The solver is in the package and needs
-numpy alone: the normal equations are counted from the tree's split matrix,
-whose paths are computed once per tree, the Cholesky factor of the normal
+numpy alone: every pair of leaves meets at one chain or at the root link, so
+the normal equations are counted in the unknowns, as pairs per meet and pairs
+across each width (``_normal_equations``); the Cholesky factor of the normal
 matrix is inverted blockwise as a triangle, and the dual goes to the
-Lawson-Hanson active-set method (``_nnls``).
+Lawson-Hanson active-set method (``_nnls``). The dual is ill conditioned:
+polished lengths are reproducible to about 1e-12 of the longest length (about
+2e-11 swadesh at k=200), so compare polished trees at that tolerance.
 """
 
 import math
@@ -279,77 +282,87 @@ def build_dendrogram(m: CoincidenceMatrix) -> tuple:
     return tree, tuple(steps)
 
 
-def _level_width_map(d: Dendrogram) -> np.ndarray:
-    """The free lengths of ``d`` as a linear map of its levels and widths.
+def _normal_equations(d: Dendrogram, distances: np.ndarray) -> tuple:
+    """The normal equations of the polish, counted in level/width space.
 
-    Returns ``T``, one row per free length in the layout of ``_paths`` and
-    one column per unknown: the level (endpoint depth) of each chain in
-    ``chain_nodes`` order, then each chain's width in the same order, then
-    the root-link length if there is one. A divergence line is the level of
-    its chain minus the level of the child below it (a leaf's level is 0);
-    widths and the root link map 1:1. ``T @ y`` is therefore a tree whose
-    chains are all horizontal, and ``T @ y >= 0`` says that every length is
-    nonnegative.
+    The unknowns are each chain's level (endpoint depth) in ``chain_nodes``
+    order, then each chain's width, then the root-link length if there is
+    one. The free lengths of ``_paths`` are ``T y`` for a map ``T`` of 0 and
+    +-1: a divergence line is its chain's level minus that of the chain
+    below it, if any. Without a root link the root chain's width is held,
+    since only ``2 * level + width`` enters its paths.
+
+    A pair of leaves that meets at a chain has the path ``2 * level``, and
+    one that meets at the root link ``level + link + level`` over the link's
+    two children, plus each width whose leaf set ``W`` separates the pair.
+    With ``L`` and ``R`` the leaves below the two sides of a meet, the
+    normal matrix ``(A T)^T (A T)`` of the path design ``A`` is thus made of
+    counts, exact in floating point: ``|L| |R|`` pairs per meet,
+    ``a (|R| - b) + (|L| - a) b`` across ``W`` for ``a = |L & W|`` and
+    ``b = |R & W|``, and the pairs that two widths both separate. The
+    right-hand side sums ``distances`` (in ``leaves()`` order) likewise.
+
+    Returns ``(normal, rhs, index, held)``: ``index`` is ``(up, down)``, per
+    free length the column of ``T`` holding its +1 and its -1 (or -1), and
+    the lengths are ``T y + held``, with the held paths taken off ``rhs``.
     """
+    S = _paths(d)[2]
     chains = d.chain_nodes()
-    n = len(chains)
-    index = {id(node): i for i, node in enumerate(chains)}
-    link = isinstance(d.root, RootLink)
-    T = np.zeros((3 * n + link, 2 * n + link))
+    n, k, link = len(chains), len(S), isinstance(d.root, RootLink)
+    position = {id(node): i for i, node in enumerate(chains)}
+    up, down = [], []
     for i, node in enumerate(chains):
-        for row, child in ((3 * i, node.left), (3 * i + 1, node.right)):
-            T[row, i] = 1.0
-            if isinstance(child, ChainNode):
-                T[row, index[id(child)]] = -1.0
-        T[3 * i + 2, n + i] = 1.0
+        up += (i, i, n + i)
+        down += (position.get(id(node.left), -1), position.get(id(node.right), -1), -1)
+
+    F = S.astype(float)
+    left, right, widths = F[:, 0 : 3 * n : 3], F[:, 1 : 3 * n : 3], F[:, 2 : 3 * n : 3]
+    if link:  # the root link's sides: the leaves below its length and the rest
+        left = np.column_stack((left, F[:, -1]))
+        right = np.column_stack((right, 1.0 - F[:, -1]))
+    size_l, size_r = left.sum(axis=0), right.sum(axis=0)
+    a, b = left.T @ widths, right.T @ widths
+    across = a * (size_r[:, None] - b) + (size_l[:, None] - a) * b  # meets x widths
+    # widths W and V both separate |W&V| |~W&~V| + |W&~V| |~W&V| pairs
+    both = widths.T @ widths
+    size = np.diag(both)
+    only_w, only_v = size[:, None] - both, size[None, :] - both
+    # per meet the distances summed over L x R, then per width over W x ~W
+    sums = np.column_stack((left, widths)).T @ distances
+    sums = (sums * np.column_stack((right, 1.0 - widths)).T).sum(axis=1)
+
+    normal = np.zeros((2 * n + link,) * 2)
+    normal[:n, :n] = np.diag(4.0 * size_l[:n] * size_r[:n])
+    normal[:n, n : 2 * n] = 2.0 * across[:n]
+    normal[n : 2 * n, n : 2 * n] = both * (k - only_w - only_v - both) + only_w * only_v
+    rhs = np.concatenate((2.0 * sums[:n], sums[n + link :], [0.0] * link))
     if link:
-        T[3 * n, 2 * n] = 1.0
-    return T
+        top = [position[id(c)] for c in (d.root.left, d.root.right) if id(c) in position]
+        top.append(2 * n)
+        normal[np.ix_(top, top)] += size_l[n] * size_r[n]
+        normal[top, n : 2 * n] += across[n]
+        rhs[top] += sums[n]
+    # the width rows mirror the width columns (levels and the root link)
+    normal[n : 2 * n, :n] = normal[:n, n : 2 * n].T
+    normal[n : 2 * n, 2 * n :] = normal[2 * n :, n : 2 * n].T
 
-
-def _map_index(T: np.ndarray) -> tuple:
-    """Where the nonzeros of a level/width map ``T`` sit, to apply it by index.
-
-    A row of ``T`` holds at most one +1 and one -1; a column at most two +1
-    and one -1, since a level column is the two lines below its chain minus
-    the line above it and a width or root-link column picks its own row.
-    Returns ``(up, down, first, second, above)``: per row the column of its
-    +1 and of its -1, per column the rows of its two +1 and of its -1, with
-    -1 where there is none.
-    """
-    up, down = np.full(T.shape[0], -1), np.full(T.shape[0], -1)
-    first, second, above = (np.full(T.shape[1], -1) for _ in range(3))
-    rows, cols = np.nonzero(T < 0)
-    down[rows], above[cols] = cols, rows
-    rows, cols = np.nonzero(T > 0)
-    up[rows] = cols
-    cols, rows = np.nonzero(T.T > 0)  # by column, rows ascending
-    lead = np.r_[True, cols[1:] != cols[:-1]]
-    first[cols[lead]] = rows[lead]
-    second[cols[~lead]] = rows[~lead]
-    return up, down, first, second, above
+    up, down = np.array(up + [2 * n] * link), np.array(down + [-1] * link)
+    held = np.zeros(up.size)
+    if not link:  # the root chain comes first: its width is column n and row 2
+        held[2] = d.root.width
+        rhs = np.delete(rhs - normal[:, n] * held[2], n)
+        normal = np.delete(np.delete(normal, n, axis=0), n, axis=1)
+        up[2] = -1
+        up[up > n] -= 1
+    return normal, rhs, (up, down), held
 
 
 def _map_rows(index: tuple, X: np.ndarray) -> np.ndarray:
-    """``T @ X`` for the map behind ``index``, with no dense product."""
-    up, down = index[:2]
+    """``T @ X`` for the level/width map behind ``index``, with no dense product."""
+    up, down = index
     out = np.zeros((up.size, *X.shape[1:]))
     out[up >= 0] = X[up[up >= 0]]
     out[down >= 0] -= X[down[down >= 0]]
-    return out
-
-
-def _map_columns(index: tuple, X: np.ndarray) -> np.ndarray:
-    """``T.T @ X`` for the map behind ``index``, with no dense product.
-
-    Every column of a map holds a +1. The terms are added in ascending row
-    order, ``(first - above) + second`` (a chain's parent comes first in
-    pre-order), which is how a matrix product sums down a column of ``T``.
-    """
-    first, second, above = index[2:]
-    out = X[first]
-    out[above >= 0] -= X[above[above >= 0]]
-    out[second >= 0] += X[second[second >= 0]]
     return out
 
 
@@ -459,7 +472,7 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
 
     Minimizes the sum of squared differences between tree paths and measured
     distances, with topology and orientations fixed. The unknowns are each
-    chain's level and width and the root-link length (``_level_width_map``),
+    chain's level and width and the root-link length (``_normal_equations``),
     so every divergence line is a level difference and the result has
     horizontal chains by construction; the constraint is that every length
     is nonnegative (a chain sits at or above the children it joins). When
@@ -479,38 +492,16 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     improve.
     """
     at = _leaf_positions(d, measured.labels)
-    x0, paths0, S = _paths(d)
+    x0, paths0, _ = _paths(d)
     if x0.size == 0:
         return d
     measured_paths = np.empty_like(paths0)  # in leaves() order, like the tree paths
     measured_paths[np.ix_(at, at)] = _distance_values(measured)
 
-    # normal equations of the pairs x lengths path design A, counted from the
-    # splits: with leaf sets L and M below lengths l and m, the paths that
-    # cross both number |L&M| * |~L&~M| + |L&~M| * |~L&M|, and A^T f sums
-    # the measured distances across each split. The counts are exact in
-    # floating point, and so is the normal matrix T^T A^T A T
-    F = S.astype(float)
-    both = F.T @ F
-    size = np.diag(both)
-    only_l, only_m = size[:, None] - both, size[None, :] - both
-    gram = both * (measured.k - only_l - only_m - both) + only_l * only_m
-    del both, only_l, only_m
-    across = ((F.T @ measured_paths) * ~S.T).sum(axis=1)
-
-    T = _level_width_map(d)
-    held = np.zeros(x0.size)
-    if not isinstance(d.root, RootLink):
-        top = len(d.chain_nodes())  # the root chain's width column
-        held = T[:, top] * d.root.width
-        T = np.delete(T, top, axis=1)
-    # T is applied by index from here: it has at most two nonzeros per row
-    # and three per column, all of them +-1
-    index = _map_index(T)
-    del T
-    # R^-T, the inverse of the Cholesky factor of T^T gram T, for c, the dual and y
-    inverse = _lower_inverse(np.linalg.cholesky(_map_columns(index, _map_columns(index, gram).T)))
-    c = inverse @ _map_columns(index, across - gram @ held)
+    normal, rhs, index, held = _normal_equations(d, measured_paths)
+    # R^-T, the inverse of the Cholesky factor of the normal matrix, for c, the dual and y
+    inverse = _lower_inverse(np.linalg.cholesky(normal))
+    c = inverse @ rhs
     # least-distance program in z = R y - c: min |z| subject to
     # (T R^-1) z >= -(T R^-1 c + held). Its dual is the NNLS problem
     # min |dual u - e| over u >= 0, and z = r[:-1] / |r|^2 for the residual

@@ -219,6 +219,16 @@ class TestCalibrate:
     def test_bad_rate_rejected(self, tmp_path):
         assert run("calibrate", "10", "--lambda", "0", "--out-dir", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--step", "0"), ("--step", "-1"), ("--step", "nan"), ("--l-max", "-3")],
+        ids=["step-0", "step-neg", "step-nan", "l-max-neg"],
+    )
+    def test_bad_grid_leaves_no_output(self, tmp_path, flags):
+        out = tmp_path / "o"
+        assert run("calibrate", "25", *flags, "--out-dir", out) == 2
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestSimulate:
     def test_golden_config(self, data_dir, tmp_path):

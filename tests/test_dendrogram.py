@@ -178,6 +178,13 @@ class TestFitReport:
         assert report.rms_distance == pytest.approx(0.0, abs=1e-12)
         assert report.max_abs_coincidence == pytest.approx(0.0, abs=1e-12)
 
+    def test_pairs_built_once_per_matrix(self, fig4_tree):
+        measured = theoretical_matrix(fig4_tree)
+        first, second = fit_report(fig4_tree, measured), fit_report(fig4_tree, measured)
+        assert first.pairs == (("1", "2"), ("1", "3"), ("2", "3"))
+        assert second.pairs is first.pairs
+        assert "_pairs" not in repr(measured)
+
     def test_single_perturbed_pair(self, fig4_tree):
         dists = leaf_distances(fig4_tree)
         labels = ("1", "2", "3")

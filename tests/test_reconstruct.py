@@ -35,14 +35,8 @@ from isolect.dendrogram import (
     attach_depth,
     endpoint_depths,
 )
-from isolect.reconstruct import (
-    _level_width_map,
-    _lower_inverse,
-    _map_columns,
-    _map_index,
-    _map_rows,
-    _nnls,
-)
+from isolect.lexstat import _distance_values
+from isolect.reconstruct import _lower_inverse, _map_rows, _nnls, _normal_equations
 
 
 def matrix_from_distances(labels, dist) -> CoincidenceMatrix:
@@ -647,6 +641,33 @@ def design(tree, m) -> np.ndarray:
     return np.array([[column[frozenset((a, b))] for column in columns] for a, b, _ in m.pairs()])
 
 
+def level_width_map(d: Dendrogram) -> np.ndarray:
+    """The free lengths of ``d`` as a dense linear map of its levels and widths.
+
+    Returns ``T``, one row per free length in the layout of ``_paths`` and
+    one column per unknown: the level (endpoint depth) of each chain in
+    ``chain_nodes`` order, then each chain's width in the same order, then
+    the root-link length if there is one. A divergence line is the level of
+    its chain minus the level of the child below it (a leaf's level is 0);
+    widths and the root link map 1:1. ``T @ y`` is therefore a tree whose
+    chains are all horizontal.
+    """
+    chains = d.chain_nodes()
+    n = len(chains)
+    index = {id(node): i for i, node in enumerate(chains)}
+    link = isinstance(d.root, RootLink)
+    T = np.zeros((3 * n + link, 2 * n + link))
+    for i, node in enumerate(chains):
+        for row, child in ((3 * i, node.left), (3 * i + 1, node.right)):
+            T[row, i] = 1.0
+            if isinstance(child, ChainNode):
+                T[row, index[id(child)]] = -1.0
+        T[3 * i + 2, n + i] = 1.0
+    if link:
+        T[3 * n, 2 * n] = 1.0
+    return T
+
+
 def slsqp_polish(tree, m) -> np.ndarray:
     """Least-squares free lengths of ``tree`` under horizontal chains, by SLSQP.
 
@@ -730,32 +751,37 @@ class TestLevelWidthPolish:
         rng = np.random.default_rng(24 if link else 25)
         for k in range(2, 31):
             tree = random_tree(rng, k, link)
-            T = _level_width_map(tree)
+            T = level_width_map(tree)
             rank = np.linalg.matrix_rank(design(tree, matrix_from_tree(tree)) @ T)
             assert rank == T.shape[1] - (not link)
 
     @pytest.mark.parametrize("link", [True, False])
-    def test_map_by_index_equals_dense_products(self, link):
-        # integer-valued operands, like the split counts of the normal
-        # matrix, make each sum exact in any order, so the gathers equal the
-        # dense products to the bit; an entry of T @ X has at most two terms,
-        # exact in any order for any X. Without a root link the root chain's
-        # width column is held out, as in the polish
+    def test_normal_equations_equal_the_dense_design(self, link):
+        # the normal matrix is a matrix of counts, exact in floating point, so
+        # it equals (A T)^T (A T) entry for entry; the right-hand side sums
+        # the same distances in another order. Without a root link the root
+        # chain's width column is held out of T and its paths out of f
         rng = np.random.default_rng(40 if link else 41)
         for k in range(2, 31):
             for tree in (random_tree(rng, k, link), horizontal_tree(rng, k, link)):
-                T = _level_width_map(tree)
+                m = noisy_matrix(rng, tree, 4.0)
+                A = design(tree, m)
+                f = np.array([100.0 * math.log(100.0 / c) for _, _, c in m.pairs()])
+                T = level_width_map(tree)
+                held = np.zeros(T.shape[0])
                 if not link:
-                    T = np.delete(T, len(tree.chain_nodes()), axis=1)
-                index = _map_index(T)
-                M = rng.integers(-60, 60, size=(T.shape[0], T.shape[0])).astype(float)
-                gram = M + M.T
-                R_inv = rng.normal(size=(T.shape[1], T.shape[1]))
+                    top = len(tree.chain_nodes())
+                    held = T[:, top] * tree.root.width
+                    T = np.delete(T, top, axis=1)
+                normal, rhs, index, held_lengths = _normal_equations(tree, _distance_values(m))
+                assert np.array_equal(normal, (A @ T).T @ (A @ T))
+                expected = (A @ T).T @ (f - A @ held)
+                np.testing.assert_allclose(rhs, expected, rtol=0.0, atol=1e-12 * abs(expected).max())
+                assert np.array_equal(held_lengths, held)
+                # an entry of T @ X has at most two terms, exact in any order
+                X = rng.normal(size=(T.shape[1], T.shape[1]))
                 y = rng.normal(size=T.shape[1])
-                assert _map_columns(index, M).tobytes() == (T.T @ M).tobytes()
-                normal = _map_columns(index, _map_columns(index, gram).T)
-                assert normal.tobytes() == (T.T @ gram @ T).tobytes()
-                assert _map_rows(index, R_inv).tobytes() == (T @ R_inv).tobytes()
+                assert _map_rows(index, X).tobytes() == (T @ X).tobytes()
                 assert _map_rows(index, y).tobytes() == (T @ y).tobytes()
 
     @pytest.mark.parametrize("link", [True, False])
