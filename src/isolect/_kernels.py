@@ -7,27 +7,39 @@ segment; ``pair_shared_counts`` counts equal classes for each language pair.
 import numpy as np
 
 
-def evolve_slots(parent, uniforms, prob, next_id):
+def evolve_slots(parent, uniforms, prob, next_id, tag=False):
     """Advance one tree segment of the replacement process.
 
-    A slot is replaced by a globally fresh class id exactly when its uniform
-    draw falls below ``prob``; fresh ids are handed out in slot order starting
-    at ``next_id``. Returns ``(child_classes, new_next_id)``.
+    A slot is replaced exactly when its uniform draw falls below ``prob``.
+    With ``tag`` every replaced slot takes the value ``next_id`` (the
+    segment's tag) and ``next_id`` advances by one; otherwise replaced slots
+    take fresh ids ``next_id, next_id + 1, ...`` in slot order and
+    ``next_id`` advances by their number. Returns ``(child, new_next_id)``;
+    the child has the parent's dtype.
+
+    A tag step needs every value in ``parent`` below ``next_id``, which
+    holds when tags are handed out in stepping order: the replaced slots are
+    then those where the tag is the larger value, and a maximum does the job
+    of ``np.where`` without its per-slot branch.
     """
-    parent = np.ascontiguousarray(parent, dtype=np.int64)
-    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
+    fired = uniforms < prob
+    if tag:
+        child = fired.astype(parent.dtype)
+        child *= next_id
+        return np.maximum(child, parent, out=child), next_id + 1
     child = parent.copy()
-    fresh = np.flatnonzero(uniforms < prob)
-    child[fresh] = np.arange(next_id, next_id + fresh.size, dtype=np.int64)
+    fresh = np.flatnonzero(fired)
+    child[fresh] = np.arange(next_id, next_id + fresh.size, dtype=child.dtype)
     return child, next_id + fresh.size
 
 
 def pair_shared_counts(classes):
     """Count per-pair equal entries of a (languages x slots) class matrix.
 
-    Returns a symmetric int64 matrix with zero diagonal.
+    Any integer dtype is accepted and compared as it is. Returns a symmetric
+    int64 matrix with zero diagonal.
     """
-    classes = np.ascontiguousarray(classes, dtype=np.int64)
+    classes = np.ascontiguousarray(classes)
     k = classes.shape[0]
     out = np.zeros((k, k), dtype=np.int64)
     for i in range(k):

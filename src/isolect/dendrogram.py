@@ -423,7 +423,7 @@ def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:
     # the scalar formula of coincidence_from_distance, without its domain
     # check (tree paths are finite and nonnegative): np.exp differs from it
     # in the last bit on some inputs
-    c_theo = np.array([100.0 * math.exp(-l / 100.0) for l in l_theo.tolist()])
+    c_theo = 100.0 * np.fromiter(map(math.exp, (-l_theo / 100.0).tolist()), float, l_theo.size)
     res_l = l_theo - l_meas
     res_c = c_theo - c_meas
     if pairs:

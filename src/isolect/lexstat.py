@@ -113,21 +113,22 @@ class _LabelledMatrix:
                 yield self.labels[i], self.labels[j], float(self.values[i, j])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoincidenceMatrix(_LabelledMatrix):
     """Symmetric matrix of basic-list coincidence percentages.
 
     The diagonal is meaningless and stored as NaN; ``list_size`` is the
-    number of basic-list slots behind the percentages.
+    number of basic-list slots behind the percentages. Equality and hash are
+    identity (``eq=False``), since ``==`` on the array field would raise.
     """
 
     labels: tuple
     values: np.ndarray
     list_size: int = 100
     # the swadesh distances, filled in by the first ``_distance_values(self)``
-    _distances: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _distances: np.ndarray = field(default=None, init=False, repr=False)
     # the label pairs in row-major i < j order, filled in by the first ``fit_report``
-    _pairs: tuple = field(default=None, init=False, repr=False, compare=False)
+    _pairs: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         labels = _check_labels(self.labels)
@@ -140,9 +141,12 @@ class CoincidenceMatrix(_LabelledMatrix):
         object.__setattr__(self, "list_size", int(self.list_size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix(_LabelledMatrix):
-    """Symmetric matrix of pairwise swadesh distances (diagonal NaN)."""
+    """Symmetric matrix of pairwise swadesh distances (diagonal NaN).
+
+    Equality and hash are identity (``eq=False``), as on ``CoincidenceMatrix``.
+    """
 
     labels: tuple
     values: np.ndarray
@@ -183,13 +187,15 @@ def distance_matrix(m: CoincidenceMatrix) -> DistanceMatrix:
     return DistanceMatrix(m.labels, _distance_values(m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CognacyTable:
     """Per-language cognate-class assignments over a shared slot universe.
 
     ``class_ids`` holds one int per (language, slot); equality within a slot
     column means the two languages carry the same cognate class there. A
     negative id marks a missing entry. ``borrowed`` flags loanword entries.
+    Equality and hash are identity (``eq=False``), since ``==`` on the array
+    fields would raise.
     """
 
     languages: tuple
@@ -300,7 +306,11 @@ def coincidence_from_cognacy(
 
 
 def _coincidence_from_classes(languages, classes) -> CoincidenceMatrix:
-    """Coincidence matrix of a (languages x slots) class matrix with no missing entries."""
+    """Coincidence matrix of a (languages x slots) class matrix with no missing entries.
+
+    Any integer dtype is accepted: only equality within a slot column counts,
+    so the simulator's one-byte segment tags count like int64 class ids.
+    """
     n_eff = classes.shape[1]
     if n_eff == 0:
         raise InputFormatError("no slots left after excluding borrowed entries")

@@ -215,8 +215,12 @@ def build_dendrogram(m: CoincidenceMatrix) -> tuple:
         l_pair = float(dist[u, v])
         observers = active[(active != u) & (active != v)]
         to_u, to_v = dist[u, observers], dist[v, observers]
-        diffs = (to_u - to_v).tolist()
-        dbar = sum(diffs) / len(diffs)
+        diffs = to_u - to_v
+        # summed strictly left to right from 0, as builtin sum did before
+        # Python 3.12 made it compensated, so that the join log does not
+        # depend on the interpreter; 0.0 + maps a -0.0 total to 0.0, as sum did
+        dbar = (0.0 + float(np.add.accumulate(diffs)[-1])) / diffs.size
+        diffs = diffs.tolist()
         correction = depth[u] - depth[v]
         signed_width = dbar + correction
         width = abs(signed_width)

@@ -9,6 +9,15 @@ sub-seeds come from a fixed splittable scheme, segments are visited in a
 canonical pre-order, and all uniforms for a segment are drawn in one call,
 so a config and replicate index give the same class matrix bit for bit on
 every run, whichever other replicates are run.
+
+Only ``simulate_cognacy`` numbers fresh classes, as int64 ids. A recovery
+trial only asks whether two leaves share a class in a slot, so it steps
+segment tags instead: a slot holds the 1-based stepping index of the last
+segment that replaced it, or 0 if none did, in one byte per slot up to 255
+segments. Fresh ids are never reused and lie above the origin ids, so two
+leaves hold the same id in a slot exactly when the same segment replaced it
+last or neither was replaced: the tags give the same pair counts from the
+same draws.
 """
 
 import math
@@ -50,47 +59,58 @@ class SimulationConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-def _replicate_classes(cfg: SimulationConfig, replicate: int):
-    """Evolve all slots for one replicate: ``(languages, ids)``.
+def _replicate_classes(cfg: SimulationConfig, replicate: int, tags: bool = False):
+    """Evolve all slots for one replicate: ``(languages, classes)``.
 
-    ``ids`` is the (k, slots) int64 class matrix, rows in ``tree.leaves()``
-    order. Each stack entry holds a node, the classes of the point above it
-    and the segment lengths from that point down to the node's attach
-    endpoint. A chain's near child is stepped before its chain width and far
-    side, and a root link is crossed as two half-length verticals from one
-    origin, left before right, which preserves every leaf-to-leaf path. A
-    point's class array lives only in the entries that still need it.
+    ``classes`` is the (k, slots) class matrix, rows in ``tree.leaves()``
+    order: int64 class ids (slot ``j`` starts in class ``j``), or with
+    ``tags`` segment tags (see the module docstring) in the narrowest
+    unsigned dtype that holds the segment count. Both come from the same
+    draws and give the same pair counts.
+
+    Each stack entry holds a node, the classes of the point above it and the
+    segment lengths from that point down to the node's attach endpoint. A
+    chain's near child is stepped before its chain width and far side, and a
+    root link is crossed as two half-length verticals from one origin, left
+    before right, which preserves every leaf-to-leaf path. A point's class
+    array lives only in the entries that still need it.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(replicate,))
     )
     languages = cfg.tree.leaves()
     rows = {label: i for i, label in enumerate(languages)}
-    ids = np.empty((len(languages), cfg.slots), dtype=np.int64)
-    origin = np.arange(cfg.slots, dtype=np.int64)
     root = cfg.tree.root
+    if tags:
+        segments = 3 * len(cfg.tree.chain_nodes()) + 2 * isinstance(root, RootLink)
+        origin = np.zeros(cfg.slots, dtype=np.min_scalar_type(segments))
+        next_id = 1
+    else:
+        origin = np.arange(cfg.slots, dtype=np.int64)
+        next_id = cfg.slots
+    matrix = np.empty((len(languages), cfg.slots), dtype=origin.dtype)
     if isinstance(root, RootLink):
         half = (root.length / 2.0,)
         stack = [(root.right, origin, half), (root.left, origin, half)]
     else:
         stack = [(root, origin, ())]
     del origin
-    next_id = cfg.slots
+    uniforms = np.empty(cfg.slots)
     while stack:
         node, classes, lengths = stack.pop()
         for length in lengths:
             classes, next_id = _kernels.evolve_slots(
-                classes, rng.random(cfg.slots), 1.0 - math.exp(-length / 100.0), next_id
+                classes, rng.random(out=uniforms), 1.0 - math.exp(-length / 100.0), next_id, tags
             )
         if isinstance(node, Leaf):
-            ids[rows[node.label]] = classes
+            matrix[rows[node.label]] = classes
         elif node.attach_side == "left":
             stack.append((node.right, classes, (node.width, node.right_edge)))
             stack.append((node.left, classes, (node.left_edge,)))
         else:
             stack.append((node.left, classes, (node.width, node.left_edge)))
             stack.append((node.right, classes, (node.right_edge,)))
-    return languages, ids
+    return languages, matrix
 
 
 def simulate_cognacy(cfg: SimulationConfig, replicate: int = 0) -> CognacyTable:
@@ -168,7 +188,7 @@ def recovery_trial(cfg: SimulationConfig, analytic: bool = False) -> RecoveryRep
         results.append(_one_trial(cfg, measured, replicate=0))
     else:
         for replicate in range(cfg.replicates):
-            measured = _coincidence_from_classes(*_replicate_classes(cfg, replicate))
+            measured = _coincidence_from_classes(*_replicate_classes(cfg, replicate, tags=True))
             results.append(_one_trial(cfg, measured, replicate=replicate))
     results = tuple(results)
     return RecoveryReport(

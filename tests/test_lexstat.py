@@ -142,6 +142,20 @@ LABELS = ("a", "b", "c", "d")
 F = float  # messages show entries as plain floats: 150.0, nan, inf
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CoincidenceMatrix(("a", "b"), [[np.nan, 80.0], [80.0, np.nan]]),
+    lambda: DistanceMatrix(("a", "b"), [[np.nan, 22.0], [22.0, np.nan]]),
+    lambda: CognacyTable(("a", "b"), ("s0", "s1"), [[1, 2], [1, 3]], np.zeros((2, 2), bool)),
+], ids=["coincidence", "distance", "cognacy"])
+def test_array_holders_compare_and_hash_by_identity(make):
+    # a value comparison would have to reduce ``==`` over the array fields,
+    # which raises; equal values are different objects
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) != hash(b)
+    assert len({a, a, b}) == 2
+
+
 class TestMatrixErrors:
     """The first bad pair in row-major upper-triangle order is the one named."""
 

@@ -1,5 +1,6 @@
 """Closed forms, greedy construction, residual redistribution, root variants."""
 
+import builtins
 import hashlib
 import math
 import os
@@ -76,6 +77,47 @@ def tie_heavy_matrices(count=60, seed=7):
                 values[i, j] = values[j, i] = float(rng.randrange(60, 64))
         out.append(CoincidenceMatrix(labels, values))
     return out
+
+
+# (case, join-log digest, warning digest) of test_tie_break_pinned
+TIE_BREAK_DIGESTS = [
+    (
+        "table1",
+        "4014f0cfd9188afa5b0859e8f854cd0f6b9d0dabe20684053ef3a08486d8ebb8",
+        "b7dee9d5d9c632034fdde1811b8fce3db0eae025e9d4718f8188b8737e6c14fb",
+    ),
+    (
+        "table2",
+        "88263763a8f8dabda2ae61fcc957f3f43efa1722e42e08f304c12853fffb1bbf",
+        "1e8a41ac1755224d3a3cd4ebbb65bf47234e88db2ac31cf2b2412362dd2903f8",
+    ),
+    (
+        "ties",
+        "5e709acbf8d93465bf192d85c255853b032e37e40bc5483819d3dfc7a33de90c",
+        "277f6b5832fe202cf299730df6e95d9d312deeb046b872b6c7af63ecf5bcd369",
+    ),
+]
+
+
+BUILTIN_SUM = builtins.sum
+
+
+def compensated_sum(values, start=0):
+    """Builtin ``sum`` as Python 3.12 and later compute it over floats (Neumaier)."""
+    values = list(values)
+    if not all(type(v) is float for v in values):
+        return BUILTIN_SUM(values, start)
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
 
 
 class TestTwoLanguageFamily:
@@ -281,26 +323,7 @@ class TestBuildDendrogram:
             renamed = CoincidenceMatrix([rank[x] for x in m.labels], m.values, m.list_size)
             assert geometry(renamed) == geometry(m)
 
-    @pytest.mark.parametrize(
-        "case, tree_digest, warning_digest",
-        [
-            (
-                "table1",
-                "4014f0cfd9188afa5b0859e8f854cd0f6b9d0dabe20684053ef3a08486d8ebb8",
-                "b7dee9d5d9c632034fdde1811b8fce3db0eae025e9d4718f8188b8737e6c14fb",
-            ),
-            (
-                "table2",
-                "88263763a8f8dabda2ae61fcc957f3f43efa1722e42e08f304c12853fffb1bbf",
-                "1e8a41ac1755224d3a3cd4ebbb65bf47234e88db2ac31cf2b2412362dd2903f8",
-            ),
-            (
-                "ties",
-                "5e709acbf8d93465bf192d85c255853b032e37e40bc5483819d3dfc7a33de90c",
-                "277f6b5832fe202cf299730df6e95d9d312deeb046b872b6c7af63ecf5bcd369",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("case, tree_digest, warning_digest", TIE_BREAK_DIGESTS)
     def test_tie_break_pinned(self, table1, table2, case, tree_digest, warning_digest):
         # digests of the join logs and clamp warnings as the builder produced
         # them when it took the minimum of (distance, smaller key, larger key)
@@ -320,6 +343,15 @@ class TestBuildDendrogram:
             messages.append([str(w.message) for w in caught])
         assert sha256("\n".join(logs)) == tree_digest
         assert sha256(repr(messages)) == warning_digest
+
+    @pytest.mark.parametrize("case, tree_digest, warning_digest", TIE_BREAK_DIGESTS)
+    def test_join_log_does_not_depend_on_builtin_sum(
+        self, monkeypatch, table1, table2, case, tree_digest, warning_digest
+    ):
+        # Python 3.12 made builtin sum compensated; the mean signed
+        # difference, and with it the join log, must not follow it
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        self.test_tie_break_pinned(table1, table2, case, tree_digest, warning_digest)
 
     def test_exact_recovery_two_cherries(self, two_cherry_tree):
         m = matrix_from_tree(two_cherry_tree)

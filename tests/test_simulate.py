@@ -15,7 +15,9 @@ from isolect import (
     recovery_trial,
     simulate_cognacy,
 )
+from isolect import _kernels
 from isolect.dendrogram import ChainNode, Dendrogram, Leaf, RootLink
+from isolect.lexstat import _coincidence_from_classes
 from isolect.simulate import RecoveryReport, _one_trial, _replicate_classes
 from isolect.treeio import load_dendrogram
 
@@ -168,6 +170,16 @@ class TestSimulateCognacy:
         finally:
             tracemalloc.stop()
         assert peak <= ids.nbytes + 8 * slots * 8
+        # one-byte tags: the uniforms take 8 bytes per slot, and the held tag
+        # arrays of a per-level traversal would add about 30 more
+        tracemalloc.start()
+        try:
+            _, tags = _replicate_classes(cfg, 0, tags=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tags.dtype == np.uint8
+        assert peak <= tags.nbytes + 16 * slots
 
     def test_single_leaf_tree(self):
         table = simulate_cognacy(SimulationConfig(tree=Dendrogram(Leaf("solo")), slots=5, seed=1))
@@ -228,6 +240,14 @@ def report_through_tables(cfg):
     )
 
 
+def coincidence_or_error(languages, classes):
+    """The coincidence values' bytes, or the error text when a pair shares nothing."""
+    try:
+        return _coincidence_from_classes(languages, classes).values.tobytes()
+    except DomainError as error:
+        return str(error)
+
+
 class TestClassMatrixPath:
     """``recovery_trial`` counts from the class matrix; tables must agree."""
 
@@ -246,6 +266,30 @@ class TestClassMatrixPath:
     def test_nested_tree(self):
         cfg = SimulationConfig(tree=nested_tree(), slots=4000, seed=5, replicates=2)
         assert repr(recovery_trial(cfg)) == repr(report_through_tables(cfg))
+
+    @pytest.mark.parametrize("root_link", [False, True], ids=["chain-root", "root-link"])
+    def test_tags_count_like_ids(self, root_link):
+        # 86 leaves step at most 255 segments, 87 more (uint16 tags); at 300
+        # slots the 87-leaf trees have pairs that share no class, so the
+        # error path is compared as well
+        for k in [*range(2, 31), 86, 87]:
+            cfg = SimulationConfig(tree=random_tree(k, k, root_link), slots=300, seed=100 + k)
+            languages, ids = _replicate_classes(cfg, 0)
+            tagged, tags = _replicate_classes(cfg, 0, tags=True)
+            assert tagged == languages
+            assert tags.dtype == (np.uint16 if k == 87 else np.uint8)
+            assert np.array_equal(
+                _kernels.pair_shared_counts(tags), _kernels.pair_shared_counts(ids)
+            )
+            assert coincidence_or_error(languages, tags) == coincidence_or_error(languages, ids)
+
+    def test_tags_are_stepping_indices(self):
+        # every slot is replaced on both halves of the root link: the left
+        # half is the first segment stepped, the right half the second
+        cfg = SimulationConfig(tree=two_leaf_tree(1e5), slots=50, seed=1)
+        languages, tags = _replicate_classes(cfg, 0, tags=True)
+        assert languages == ("x", "y")
+        assert tags.tolist() == [[1] * 50, [2] * 50]
 
     def test_report_pinned(self):
         # repr digest of the report as computed when every replicate went
