@@ -108,77 +108,75 @@ class Dendrogram:
     """A reconstructed family: a root link over two subtrees, or one node."""
 
     root: Union[RootLink, Node]
+    # the one walk of the tree, made on construction: leaf labels, chain nodes and spans
+    _order: tuple = field(default=None, init=False, repr=False, compare=False)
     # the free lengths, leaf paths and splits, filled in by the first ``_paths(self)``
     _walk: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = tuple(_preorder(self.root))
-        for what, names in (
-            ("leaf labels", [n.label for n in nodes if isinstance(n, Leaf)]),
-            ("chain ids", [n.id for n in nodes if isinstance(n, ChainNode)]),
-        ):
+        # Pre-order, left side first. The leaves below a node are contiguous,
+        # so each chain, then the root link if any, gets a span (lo, mid, hi):
+        # its left side holds leaves[lo:mid] and its right side leaves[mid:hi].
+        # A (span, slot) stack entry sets mid, then hi, once that side is done.
+        leaves, chains, spans, link = [], [], [], [0, 0, 0]
+        root, has_link = self.root, isinstance(self.root, RootLink)
+        stack = [(link, 2), root.right, (link, 1), root.left] if has_link else [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Leaf):
+                leaves.append(node.label)
+            elif isinstance(node, ChainNode):
+                chains.append(node)
+                spans.append([len(leaves)] * 3)
+                stack += ((spans[-1], 2), node.right, (spans[-1], 1), node.left)
+            else:
+                span, slot = node
+                span[slot] = len(leaves)
+        spans += [link] * has_link
+        for what, names in (("leaf labels", leaves), ("chain ids", [n.id for n in chains])):
             if len(set(names)) != len(names):
                 dupes = sorted({x for x in names if names.count(x) > 1})
                 raise DomainError(f"duplicate {what} in dendrogram: {dupes}")
+        spans = tuple(map(tuple, spans))
+        object.__setattr__(self, "_order", (tuple(leaves), tuple(chains), spans))
 
     def leaves(self) -> tuple:
         """Leaf labels in left-to-right drawing order."""
-        return tuple(n.label for n in _preorder(self.root) if isinstance(n, Leaf))
+        return self._order[0]
 
     @property
     def k(self) -> int:
-        return len(self.leaves())
+        return len(self._order[0])
 
     def chain_nodes(self) -> tuple:
         """All chain nodes in pre-order (left subtree first)."""
-        return tuple(n for n in _preorder(self.root) if isinstance(n, ChainNode))
+        return self._order[1]
 
     def clades(self) -> dict:
         """Map each chain node id to the frozenset of leaf labels below it."""
-        nodes = tuple(_preorder(self.root))
-        below = {}
-        for node in reversed(nodes):
-            if isinstance(node, Leaf):
-                below[id(node)] = frozenset((node.label,))
-            else:
-                below[id(node)] = below[id(node.left)] | below[id(node.right)]
-        return {n.id: below[id(n)] for n in nodes if isinstance(n, ChainNode)}
+        leaves, chains, spans = self._order
+        return {node.id: frozenset(leaves[lo:hi]) for node, (lo, _, hi) in zip(chains, spans)}
 
     def topology_signature(self) -> frozenset:
         """Hashable summary of the branching structure, lengths ignored."""
-        clades = self.clades()
-        parts = set(clades.values())
+        parts = set(self.clades().values())
         if isinstance(self.root, RootLink):
-            sides = (self.root.left, self.root.right)
-            parts.add(
-                frozenset(
-                    frozenset((n.label,)) if isinstance(n, Leaf) else clades[n.id] for n in sides
-                )
-            )
+            leaves, mid = self._order[0], self._order[2][-1][1]
+            parts.add(frozenset((frozenset(leaves[:mid]), frozenset(leaves[mid:]))))
         return frozenset(parts)
-
-
-def _preorder(root):
-    """Every node below ``root`` in pre-order, left subtree first.
-
-    A root link is not a node itself; its left side comes first, then its
-    right side.
-    """
-    stack = [root.right, root.left] if isinstance(root, RootLink) else [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, ChainNode):
-            stack += (node.right, node.left)
 
 
 def attach_depth(node: Node) -> float:
     """Depth (swadesh before present) of the endpoint carrying the parent edge."""
-    if isinstance(node, Leaf):
-        return 0.0
-    if node.attach_side == "left":
-        return node.left_edge + attach_depth(node.left)
-    return node.right_edge + attach_depth(node.right)
+    edges = []
+    while isinstance(node, ChainNode):
+        left = node.attach_side == "left"
+        edges.append(node.left_edge if left else node.right_edge)
+        node = node.left if left else node.right
+    depth = 0.0
+    for edge in reversed(edges):  # summed from the leaf up
+        depth += edge
+    return depth
 
 
 def endpoint_depths(node: ChainNode) -> tuple:
@@ -206,50 +204,40 @@ def _paths(d: Dendrogram):
 
     Each path is summed from both of its leaves up to where they meet, and
     the two sides are joined as ``(up_a + meet) + up_b``, which fixes the
-    rounding of every distance independently of the layout.
+    rounding of every distance independently of the layout. The chains are
+    visited children first (reverse pre-order), and ``reach`` holds each
+    leaf's length up to the attach endpoint of the highest chain above it
+    visited so far.
 
     Computed once per tree and kept on it; the three arrays are read-only.
     """
     if d._walk is not None:
         return d._walk
-    k = len(d.leaves())
-    link = isinstance(d.root, RootLink)
-    values = []
+    leaves, chains, spans = d._order
+    k, link = len(leaves), isinstance(d.root, RootLink)
+    values = [x for node in chains for x in (node.left_edge, node.right_edge, node.width)]
+    values += [d.root.length] if link else []
     D = np.zeros((k, k))
-    S = np.zeros((k, 3 * len(d.chain_nodes()) + link), dtype=bool)
-
-    def meet(lo, up_a, length, up_b):
-        """Fill in the pairs that meet at ``length``; return where each side ends."""
-        mid, hi = lo + up_a.size, lo + up_a.size + up_b.size
-        D[lo:mid, mid:hi] = (up_a[:, None] + length) + up_b[None, :]
+    S = np.zeros((k, len(values)), dtype=bool)
+    reach = np.zeros(k)
+    for i in reversed(range(len(chains))):
+        node, (lo, mid, hi) = chains[i], spans[i]
+        reach[lo:mid] += node.left_edge
+        reach[mid:hi] += node.right_edge
+        D[lo:mid, mid:hi] = (reach[lo:mid, None] + node.width) + reach[None, mid:hi]
         D[mid:hi, lo:mid] = D[lo:mid, mid:hi].T
-        return mid, hi
-
-    def up(node, lo):
-        """Lengths from each leaf below ``node`` (leaves ``lo`` on) up to its attach endpoint."""
-        if isinstance(node, Leaf):
-            return np.zeros(1)
-        base = len(values)
-        values.extend((node.left_edge, node.right_edge, node.width))
-        left = up(node.left, lo) + node.left_edge
-        right = up(node.right, lo + left.size) + node.right_edge
-        mid, hi = meet(lo, left, node.width, right)
-        S[lo:mid, base] = S[mid:hi, base + 1] = True
+        S[lo:mid, 3 * i] = S[mid:hi, 3 * i + 1] = True
         if node.attach_side == "left":
-            S[mid:hi, base + 2] = True
-            right = right + node.width
+            S[mid:hi, 3 * i + 2] = True
+            reach[mid:hi] += node.width
         else:
-            S[lo:mid, base + 2] = True
-            left = left + node.width
-        return np.concatenate((left, right))
-
+            S[lo:mid, 3 * i + 2] = True
+            reach[lo:mid] += node.width
     if link:
-        left = up(d.root.left, 0)
-        right = up(d.root.right, left.size)
-        values.append(d.root.length)
-        S[: meet(0, left, d.root.length, right)[0], -1] = True
-    else:
-        up(d.root, 0)
+        mid = spans[-1][1]
+        D[:mid, mid:] = (reach[:mid, None] + d.root.length) + reach[None, mid:]
+        D[mid:, :mid] = D[:mid, mid:].T
+        S[:mid, -1] = True
     walk = (np.array(values), D, S)
     for array in walk:
         array.setflags(write=False)
@@ -269,25 +257,23 @@ def _leaf_positions(d: Dendrogram, labels) -> np.ndarray:
 
 def _with_lengths(d: Dendrogram, values) -> Dendrogram:
     """``d`` with its free lengths replaced by ``values``, laid out as in ``_paths``."""
-    lengths = iter(values)
-
-    def put(node):
-        if isinstance(node, Leaf):
-            return node
-        return replace(
+    chains = d.chain_nodes()
+    built = {}  # id of each old chain: the new one
+    for i in reversed(range(len(chains))):  # children first
+        node = chains[i]
+        built[id(node)] = replace(
             node,
-            left_edge=next(lengths),
-            right_edge=next(lengths),
-            width=next(lengths),
-            left=put(node.left),
-            right=put(node.right),
+            left_edge=values[3 * i],
+            right_edge=values[3 * i + 1],
+            width=values[3 * i + 2],
+            left=built.get(id(node.left), node.left),
+            right=built.get(id(node.right), node.right),
         )
-
-    if isinstance(d.root, RootLink):
-        return Dendrogram(
-            replace(d.root, left=put(d.root.left), right=put(d.root.right), length=next(lengths))
-        )
-    return Dendrogram(put(d.root))
+    root = d.root
+    if isinstance(root, RootLink):
+        left, right = built.get(id(root.left), root.left), built.get(id(root.right), root.right)
+        return Dendrogram(replace(root, left=left, right=right, length=values[3 * len(chains)]))
+    return Dendrogram(built.get(id(root), root))
 
 
 def leaf_distances(d: Dendrogram) -> dict:

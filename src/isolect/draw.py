@@ -31,30 +31,28 @@ class _Canvas:
 
 
 def _place(node, x_attach: float, canvas: _Canvas) -> None:
-    if isinstance(node, Leaf):
-        canvas.leaves.append((x_attach, node.label))
-        return
-    if node.attach_side == "left":
-        x_left = x_attach
-    else:
-        x_left = x_attach - node.width
-    x_right = x_left + node.width
-    d_left, d_right = endpoint_depths(node)
-    canvas.chains.append(((x_left, d_left), (x_right, d_right)))
-    canvas.points.append((x_left, d_left))
-    canvas.points.append((x_right, d_right))
-    if node.width > 1e-9:
-        canvas.texts.append(((x_left + x_right) / 2.0, max(d_left, d_right) + 0.8,
-                             f"{node.width:.3f}", "middle"))
-    for child, edge, x_end, d_end in (
-        (node.left, node.left_edge, x_left, d_left),
-        (node.right, node.right_edge, x_right, d_right),
-    ):
-        child_top = attach_depth(child)
-        canvas.edges.append(((x_end, d_end), (x_end, child_top)))
-        if edge > 1e-9:
-            canvas.texts.append((x_end + 0.4, (d_end + child_top) / 2.0, f"{edge:.3f}", "start"))
-        _place(child, x_end, canvas)
+    stack = [(node, x_attach, None, None)]  # pre-order, left subtree first
+    while stack:
+        node, x, edge, d_end = stack.pop()
+        if edge is not None:  # the divergence line down from the parent's endpoint
+            top = attach_depth(node)
+            canvas.edges.append(((x, d_end), (x, top)))
+            if edge > 1e-9:
+                canvas.texts.append((x + 0.4, (d_end + top) / 2.0, f"{edge:.3f}", "start"))
+        if isinstance(node, Leaf):
+            canvas.leaves.append((x, node.label))
+            continue
+        x_left = x if node.attach_side == "left" else x - node.width
+        x_right = x_left + node.width
+        d_left, d_right = endpoint_depths(node)
+        canvas.chains.append(((x_left, d_left), (x_right, d_right)))
+        canvas.points.append((x_left, d_left))
+        canvas.points.append((x_right, d_right))
+        if node.width > 1e-9:
+            canvas.texts.append(((x_left + x_right) / 2.0, max(d_left, d_right) + 0.8,
+                                 f"{node.width:.3f}", "middle"))
+        stack.append((node.right, x_right, node.right_edge, d_right))
+        stack.append((node.left, x_left, node.left_edge, d_left))
 
 
 def _layout(d: Dendrogram):

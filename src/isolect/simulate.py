@@ -54,6 +54,8 @@ class SimulationConfig:
             raise DomainError(f"slots must be >= 1, got {self.slots!r}")
         if int(self.replicates) < 1:
             raise DomainError(f"replicates must be >= 1, got {self.replicates!r}")
+        if int(self.seed) < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed!r}")
         object.__setattr__(self, "slots", int(self.slots))
         object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "seed", int(self.seed))

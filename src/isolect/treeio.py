@@ -11,7 +11,8 @@ Cognacy files: tab-separated with a required header row
 Tree descriptions: a nested JSON document that round-trips exactly, plus a
 one-line annotated parenthesized rendering for humans (chain widths have no
 standard slot in parenthesized tree text, so they ride in bracket
-annotations).
+annotations). A tree nested about a thousand chains deep is too deep for
+the stdlib ``json`` module, which recurses per level: it fails with an error.
 """
 
 import json
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dendrogram import ChainNode, Dendrogram, Leaf, RootLink
-from .errors import DomainError, InputFormatError
+from .errors import DomainError, InputFormatError, IsolectError
 from .lexstat import CognacyTable, CoincidenceMatrix
 from .simulate import SimulationConfig
 
@@ -257,36 +258,44 @@ def dendrogram_from_dict(data: dict, source: str = "<dict>") -> Dendrogram:
         return Dendrogram(_node_from_dict(root, source))
     except DomainError as exc:
         raise InputFormatError(f"{source}: {exc}") from None
+    except RecursionError:  # _node_from_dict recurses once per nesting level
+        raise InputFormatError(f"{source}: tree nested too deeply to read") from None
 
 
 def save_dendrogram(d: Dendrogram, path) -> None:
-    Path(path).write_text(
-        json.dumps(dendrogram_to_dict(d), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    try:
+        text = json.dumps(dendrogram_to_dict(d), indent=2, sort_keys=True)
+    except RecursionError:
+        raise IsolectError(f"{path}: tree nested too deeply to write as JSON") from None
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:  # the stdlib decoder recurses once per nesting level
+        raise InputFormatError(f"{path}: JSON nested too deeply to read") from None
 
 
 def load_dendrogram(path) -> Dendrogram:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: invalid JSON: {exc}") from None
-    return dendrogram_from_dict(data, source=str(path))
+    return dendrogram_from_dict(_read_json(Path(path)), source=str(path))
 
 
 def parenthesized(d: Dendrogram) -> str:
     """Annotated parenthesized rendering; widths ride in bracket comments."""
+    text = {}  # id of each chain: its rendering
 
     def render(node):
-        if isinstance(node, Leaf):
-            return node.label
-        return (
+        return text[id(node)] if isinstance(node, ChainNode) else node.label
+
+    for node in reversed(d.chain_nodes()):  # children first
+        text[id(node)] = (
             f"({render(node.left)}:{node.left_edge:.3f},"
             f"{render(node.right)}:{node.right_edge:.3f})"
             f"{node.id}[&width={node.width:.3f},attach={node.attach_side}]"
         )
-
     if isinstance(d.root, RootLink):
         return (
             f"({render(d.root.left)},{render(d.root.right)})"
@@ -297,10 +306,9 @@ def parenthesized(d: Dendrogram) -> str:
 
 def load_simulation_config(path) -> SimulationConfig:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: invalid JSON: {exc}") from None
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise InputFormatError(f"{path}: simulation config must be a JSON object, got {data!r}")
     for key in ("tree", "slots", "seed"):
         if key not in data:
             raise InputFormatError(f"{path}: missing required key {key!r}")

@@ -1,5 +1,6 @@
 """Shared fixtures: golden matrices, synthetic trees, borrowing tables."""
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,24 @@ def two_cherry_tree() -> Dendrogram:
         attach_side="right",
     )
     return Dendrogram(RootLink(length=30.0, left=cherry1, right=cherry2))
+
+
+@pytest.fixture(scope="session")
+def deep_caterpillar() -> Dendrogram:
+    """A root link over a caterpillar nested deeper than the recursion limit.
+
+    Chain ``n{i}`` sits at level ``i`` (i = 1 .. k - 2) with width 0.5 and
+    its parent edge on the left; it joins the chain below it (leaf ``L0``
+    for ``n1``) on the left to leaf ``L{i}`` on the right. The root link of
+    length 4 joins the top chain to leaf ``top``. The paths, with ``m = k - 2``:
+    ``L{j}``-``L{i}`` is ``2 i + 1`` for ``1 <= j < i``, ``L0``-``L{i}`` is
+    ``2 i + 0.5``, ``L{i}``-``top`` is ``m + 4.5`` and ``L0``-``top`` is ``m + 4``.
+    """
+    k = sys.getrecursionlimit() + 100
+    node = Leaf("L0")
+    for i in range(1, k - 1):
+        node = ChainNode(f"n{i}", 0.5, node, Leaf(f"L{i}"), 1.0, float(i), "left")
+    return Dendrogram(RootLink(4.0, node, Leaf("top")))
 
 
 def make_borrowing_table() -> CognacyTable:

@@ -272,6 +272,29 @@ class TestSimulate:
         assert run("simulate", "--input", cfg, "--out-dir", tmp_path / "out") == 2
 
 
+    def test_negative_seed_exits_2(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        doc = json.loads((data_dir / "sim4_config.json").read_text())
+        cfg.write_text(json.dumps({**doc, "seed": -1}))
+        (tmp_path / doc["tree"]).write_text((data_dir / doc["tree"]).read_text())
+        assert run("simulate", "--input", cfg, "--out-dir", tmp_path / "a") == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: bad simulation config: seed must be >= 0, got -1\n"
+        )
+        code = run("simulate", "--input", data_dir / "sim4_config.json", "--seed", "-1",
+                   "--out-dir", tmp_path / "b")
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("5")
+        assert run("simulate", "--input", cfg, "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: simulation config must be a JSON object, got 5\n"
+        )
+
+
 class TestRender:
     def test_render_saved_tree(self, data_dir, tmp_path):
         build_dir = tmp_path / "build"

@@ -1,12 +1,14 @@
 """Tree structure, path distances, theoretical matrices, fit diagnostics."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import isolect.dendrogram
+from isolect.draw import render_svg
 from isolect import (
     CoincidenceMatrix,
     DomainError,
@@ -16,6 +18,7 @@ from isolect import (
     fit_report,
     leaf_distances,
     path_distance,
+    redistribute_residuals,
     root_geometry,
     root_variants,
     theoretical_matrix,
@@ -28,6 +31,7 @@ from isolect.dendrogram import (
     _paths,
     _with_lengths,
     ancestor_depth,
+    attach_depth,
 )
 
 
@@ -265,3 +269,40 @@ class TestPathCache:
         np.testing.assert_array_equal(_paths(shifted)[0], values + 1.0)
         assert _paths(shifted)[1][0, 2] == D[0, 2] + 3.0  # a line, the width and the root link
         assert _paths(fig4_tree)[1] is D
+
+
+class TestDeepTree:
+    """Every walk is a loop: a tree nested deeper than the recursion limit goes through."""
+
+    def test_caterpillar_deeper_than_the_recursion_limit(self, deep_caterpillar):
+        tree = deep_caterpillar
+        k, m = tree.k, tree.k - 2
+        assert m > sys.getrecursionlimit()
+        assert tree.leaves() == (*(f"L{i}" for i in range(m + 1)), "top")
+        assert [n.id for n in tree.chain_nodes()] == [f"n{i}" for i in range(m, 0, -1)]
+
+        values, D, S = _paths(tree)
+        level = np.arange(m + 1.0)
+        expected = np.zeros((k, k))
+        expected[:-1, :-1] = 2.0 * np.maximum.outer(level, level) + 1.0
+        expected[0, 1:-1] = expected[1:-1, 0] = 2.0 * level[1:] + 0.5
+        expected[-1, :-1] = expected[:-1, -1] = m + 4.5
+        expected[0, -1] = expected[-1, 0] = m + 4.0
+        np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(D, expected)
+        assert S.shape == (k, 3 * m + 1)
+
+        shifted = values + 1.0
+        rebuilt = _with_lengths(tree, shifted)
+        assert rebuilt.leaves() == tree.leaves()
+        assert [n.id for n in rebuilt.chain_nodes()] == [n.id for n in tree.chain_nodes()]
+        assert np.array_equal(_paths(rebuilt)[0], shifted)
+        assert attach_depth(tree.root.left) == m
+        clades = tree.clades()
+        assert clades[f"n{m}"] == frozenset(tree.leaves()[:-1])
+        assert clades["n1"] == frozenset(("L0", "L1"))
+
+        measured = theoretical_matrix(tree)
+        assert redistribute_residuals(tree, measured) is tree  # the fit is exact already
+        assert fit_report(tree, measured).max_abs_distance < 1e-9
+        assert render_svg(tree).count("<polygon") == k

@@ -554,6 +554,22 @@ def reference_distances(tree) -> dict:
     return {**pl, **pr, **meet(dl, tree.root.length, dr)}
 
 
+def reference_clades(tree) -> dict:
+    """Each chain's leaf set as the union of its children's, children first."""
+    clades = {}
+
+    def below(node):
+        if isinstance(node, Leaf):
+            return frozenset((node.label,))
+        clades[node.id] = below(node.left) | below(node.right)
+        return clades[node.id]
+
+    root = tree.root
+    for side in (root.left, root.right) if isinstance(root, RootLink) else (root,):
+        below(side)
+    return clades
+
+
 class TestPathWalk:
     @pytest.mark.parametrize("link", [True, False])
     def test_paths_match_rebuild_and_distances(self, link):
@@ -582,6 +598,7 @@ class TestPathWalk:
             crossed = S[rows] ^ S[cols]
             np.testing.assert_allclose(crossed @ values, D[rows, cols], rtol=0.0, atol=1e-9)
             assert np.array_equal(crossed, design(tree, matrix_from_tree(tree)))
+            assert tree.clades() == reference_clades(tree)
         assert sides == {"left", "right"}
 
     def test_single_leaf_has_no_lengths(self):

@@ -1,6 +1,7 @@
 """File format parsing, serialization, and round trips."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from isolect import (
     InputFormatError,
+    IsolectError,
     build_dendrogram,
     theoretical_matrix,
 )
@@ -224,6 +226,52 @@ class TestTreeDocuments:
         again = dendrogram_from_dict(dendrogram_to_dict(tree))
         assert again.leaves() == ("solo",)
         assert parenthesized(tree) == "solo;"
+
+
+def nested_tree_document(depth: int) -> tuple:
+    """A tree document nested ``depth`` chains deep, as a dict and as JSON text.
+
+    The text is joined level by level, since ``json`` cannot encode it whole.
+    """
+    root = {"kind": "leaf", "label": "L0"}
+    text = json.dumps(root)
+    for i in range(1, depth + 1):
+        chain = {"kind": "chain", "id": f"n{i}", "width": 0.5, "attach_side": "left",
+                 "left_edge": 1.0, "right_edge": float(i),
+                 "right": {"kind": "leaf", "label": f"L{i}"}}
+        text = f'{json.dumps(chain)[:-1]}, "left": {text}}}'
+        root = {**chain, "left": root}
+    head = {"format": "isolect-dendrogram", "version": 1}
+    return {**head, "root": root}, f'{json.dumps(head)[:-1]}, "root": {text}}}'
+
+
+class TestDeepTreeDocuments:
+    """json recurses once per nesting level; a too deep tree fails with one line."""
+
+    def test_save_raises_and_writes_nothing(self, deep_caterpillar, tmp_path):
+        path = tmp_path / "tree.json"
+        with pytest.raises(IsolectError) as caught:
+            save_dendrogram(deep_caterpillar, path)
+        assert type(caught.value) is IsolectError  # the CLI exits 1 on it
+        assert str(caught.value) == f"{path}: tree nested too deeply to write as JSON"
+        assert not path.exists()
+        assert parenthesized(deep_caterpillar).startswith("((((")  # the text form is a loop
+
+    def test_load_raises_a_located_error(self, deep_caterpillar, tmp_path):
+        path = tmp_path / "tree.json"
+        doc, text = nested_tree_document(deep_caterpillar.k - 2)
+        path.write_text(text)
+        message = f"^{re.escape(str(path))}: .* too deeply to read$"
+        with pytest.raises(InputFormatError, match=message):
+            load_dendrogram(path)
+        # where json decodes deeper than the recursion limit (Python 3.12 on),
+        # the conversion to a tree must fail the same way
+        with pytest.raises(InputFormatError, match="^t.json: tree nested too deeply to read$"):
+            dendrogram_from_dict(doc, source="t.json")
+        doc, text = nested_tree_document(5)
+        path.write_text(text)
+        assert load_dendrogram(path) == dendrogram_from_dict(doc)
+        assert load_dendrogram(path).leaves() == ("L0", "L1", "L2", "L3", "L4", "L5")
 
 
 class TestSimulationConfig:
