@@ -7,7 +7,7 @@ segment; ``pair_shared_counts`` counts equal classes for each language pair.
 import numpy as np
 
 
-def evolve_slots(parent, uniforms, prob, next_id, tag=False):
+def evolve_slots(parent, uniforms, prob, next_id, tag=False, out=None):
     """Advance one tree segment of the replacement process.
 
     A slot is replaced exactly when its uniform draw falls below ``prob``.
@@ -15,7 +15,7 @@ def evolve_slots(parent, uniforms, prob, next_id, tag=False):
     segment's tag) and ``next_id`` advances by one; otherwise replaced slots
     take fresh ids ``next_id, next_id + 1, ...`` in slot order and
     ``next_id`` advances by their number. Returns ``(child, new_next_id)``;
-    the child has the parent's dtype.
+    the child has the parent's dtype and is written into ``out`` if given.
 
     A tag step needs every value in ``parent`` below ``next_id``, which
     holds when tags are handed out in stepping order: the replaced slots are
@@ -23,11 +23,12 @@ def evolve_slots(parent, uniforms, prob, next_id, tag=False):
     of ``np.where`` without its per-slot branch.
     """
     fired = uniforms < prob
+    child = np.empty_like(parent) if out is None else out
     if tag:
-        child = fired.astype(parent.dtype)
+        np.copyto(child, fired)
         child *= next_id
         return np.maximum(child, parent, out=child), next_id + 1
-    child = parent.copy()
+    np.copyto(child, parent)
     fresh = np.flatnonzero(fired)
     child[fresh] = np.arange(next_id, next_id + fresh.size, dtype=child.dtype)
     return child, next_id + fresh.size

@@ -47,6 +47,29 @@ def _check_length(value: float, what: str) -> float:
     return value
 
 
+def _node_repr(node) -> str:
+    """The dataclass repr of a node and all below it, written from a stack."""
+    parts, stack = [], [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, ChainNode):
+            stack += (
+                f", left_edge={item.left_edge!r}, right_edge={item.right_edge!r}, "
+                f"attach_side={item.attach_side!r})",
+                item.right, ", right=", item.left,
+                f"ChainNode(id={item.id!r}, width={item.width!r}, left=",
+            )
+        elif isinstance(item, RootLink):
+            stack += (
+                f", variant={item.variant!r}, fraction={item.fraction!r})",
+                item.right, ", right=", item.left,
+                f"RootLink(length={item.length!r}, left=",
+            )
+        else:
+            parts.append(item if isinstance(item, str) else repr(item))
+    return "".join(parts)
+
+
 @dataclass(frozen=True)
 class Leaf:
     """A modern language at depth zero."""
@@ -72,6 +95,9 @@ class ChainNode:
         object.__setattr__(self, "right_edge", _check_length(self.right_edge, "divergence length"))
         if self.attach_side not in ("left", "right"):
             raise DomainError(f"attach_side must be 'left' or 'right', got {self.attach_side!r}")
+
+    def __repr__(self):
+        return _node_repr(self)
 
 
 Node = Union[Leaf, ChainNode]
@@ -102,10 +128,18 @@ class RootLink:
                 raise DomainError(f"variant fraction must lie in [0, 1], got {f!r}")
             object.__setattr__(self, "fraction", f)
 
+    def __repr__(self):
+        return _node_repr(self)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Dendrogram:
-    """A reconstructed family: a root link over two subtrees, or one node."""
+    """A reconstructed family: a root link over two subtrees, or one node.
+
+    Two dendrograms are equal when their trees are. ``==`` and ``hash`` read
+    the flat walk record instead of the nested nodes, and ``repr`` is written
+    from a stack, so none of them recurses, however deep the tree.
+    """
 
     root: Union[RootLink, Node]
     # the one walk of the tree, made on construction: leaf labels, chain nodes and spans
@@ -139,6 +173,26 @@ class Dendrogram:
                 raise DomainError(f"duplicate {what} in dendrogram: {dupes}")
         spans = tuple(map(tuple, spans))
         object.__setattr__(self, "_order", (tuple(leaves), tuple(chains), spans))
+
+    def _key(self) -> tuple:
+        # the spans fix the shape: a side of one leaf holds that leaf, a wider
+        # side the next chain in pre-order
+        leaves, chains, spans = self._order
+        root = self.root
+        link = (root.length, root.variant, root.fraction) if isinstance(root, RootLink) else None
+        fields = tuple((n.id, n.width, n.left_edge, n.right_edge, n.attach_side) for n in chains)
+        return link, leaves, fields, spans
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Dendrogram(root={_node_repr(self.root)})"
 
     def leaves(self) -> tuple:
         """Leaf labels in left-to-right drawing order."""

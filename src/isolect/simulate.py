@@ -6,9 +6,21 @@ class with probability 1 - exp(-l/100), so the expected shared fraction of
 two leaves at path distance L is exp(-L/100). Chains are crossed as
 segments of their width. Runs are deterministic given the seed: replicate
 sub-seeds come from a fixed splittable scheme, segments are visited in a
-canonical pre-order, and all uniforms for a segment are drawn in one call,
-so a config and replicate index give the same class matrix bit for bit on
-every run, whichever other replicates are run.
+canonical pre-order, and a segment's uniforms are drawn in slot order, so a
+config and replicate index give the same class matrix bit for bit on every
+run, whichever other replicates are run. The uniforms are drawn in blocks of
+``BLOCK`` slots into one reused buffer, each block stepped before the next is
+drawn; ``Generator.random`` fills its output in order, so the blocks draw the
+same stream as one call over all slots would.
+
+A recovery trial samples its replicates (class matrix and pair counts) on a
+pool of threads, one per usable CPU up to the replicate count; the draws and
+the ufuncs release the GIL. Each replicate reads only its own generator, so
+thread timing cannot change a draw, and the reconstruction and comparison
+run on the caller's thread in replicate order, so reports and warnings come
+out as they do serially. Below one block of slots the work is mostly Python
+overhead under the GIL, and the replicates are sampled on the caller's
+thread.
 
 Only ``simulate_cognacy`` numbers fresh classes, as int64 ids. A recovery
 trial only asks whether two leaves share a class in a slot, so it steps
@@ -20,7 +32,9 @@ last or neither was replaced: the tags give the same pair counts from the
 same draws.
 """
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +53,9 @@ __all__ = [
     "simulate_cognacy",
 ]
 
+# slots per draw: 2**16 float64 uniforms fill 512 KB, about one L2 cache
+BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -50,15 +67,13 @@ class SimulationConfig:
     replicates: int = 1
 
     def __post_init__(self):
-        if int(self.slots) < 1:
-            raise DomainError(f"slots must be >= 1, got {self.slots!r}")
-        if int(self.replicates) < 1:
-            raise DomainError(f"replicates must be >= 1, got {self.replicates!r}")
-        if int(self.seed) < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed!r}")
-        object.__setattr__(self, "slots", int(self.slots))
-        object.__setattr__(self, "replicates", int(self.replicates))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, least in (("slots", 1), ("replicates", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise DomainError(f"{name} must be >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 def _replicate_classes(cfg: SimulationConfig, replicate: int, tags: bool = False):
@@ -75,7 +90,9 @@ def _replicate_classes(cfg: SimulationConfig, replicate: int, tags: bool = False
     chain's near child is stepped before its chain width and far side, and a
     root link is crossed as two half-length verticals from one origin, left
     before right, which preserves every leaf-to-leaf path. A point's class
-    array lives only in the entries that still need it.
+    array lives only in the entries that still need it. Each segment is
+    stepped in blocks of ``BLOCK`` slots; fresh ids carry on from block to
+    block, and a tag segment writes its one tag in every block.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(replicate,))
@@ -97,12 +114,12 @@ def _replicate_classes(cfg: SimulationConfig, replicate: int, tags: bool = False
     else:
         stack = [(root, origin, ())]
     del origin
-    uniforms = np.empty(cfg.slots)
+    uniforms = np.empty(min(cfg.slots, BLOCK))
     while stack:
         node, classes, lengths = stack.pop()
         for length in lengths:
-            classes, next_id = _kernels.evolve_slots(
-                classes, rng.random(out=uniforms), 1.0 - math.exp(-length / 100.0), next_id, tags
+            classes, next_id = _step(
+                rng, classes, 1.0 - math.exp(-length / 100.0), next_id, tags, uniforms
             )
         if isinstance(node, Leaf):
             matrix[rows[node.label]] = classes
@@ -113,6 +130,18 @@ def _replicate_classes(cfg: SimulationConfig, replicate: int, tags: bool = False
             stack.append((node.left, classes, (node.width, node.left_edge)))
             stack.append((node.right, classes, (node.right_edge,)))
     return languages, matrix
+
+
+def _step(rng, parent, prob, next_id, tags, uniforms):
+    """Step ``parent`` down one segment, ``BLOCK`` slots at a time: ``(child, next_id)``."""
+    child = np.empty_like(parent)
+    for start in range(0, parent.size, BLOCK):
+        block = slice(start, min(start + BLOCK, parent.size))
+        draws = rng.random(out=uniforms[: block.stop - start])
+        _, after = _kernels.evolve_slots(parent[block], draws, prob, next_id, tags, out=child[block])
+        if not tags:  # fresh ids carry on; a tag segment keeps its one tag
+            next_id = after
+    return child, after
 
 
 def simulate_cognacy(cfg: SimulationConfig, replicate: int = 0) -> CognacyTable:
@@ -181,18 +210,23 @@ def recovery_trial(cfg: SimulationConfig, analytic: bool = False) -> RecoveryRep
     runs on the tree's exact coincidence matrix (a noise-free sanity check,
     one pseudo-replicate). Sampled replicates are counted straight from the
     simulated class matrix; no slot names or ``CognacyTable`` are built.
+    They are sampled on ``_workers(cfg)`` threads (see the module
+    docstring), and each is reconstructed on this thread, in replicate order.
     """
     if cfg.tree.k < 2:
         raise DomainError("ground-truth tree needs at least 2 leaves")
-    results = []
+    trial, sample = functools.partial(_one_trial, cfg), functools.partial(_sample, cfg)
+    replicates = range(cfg.replicates)
+    workers = _workers(cfg)
     if analytic:
-        measured = theoretical_matrix(cfg.tree, list_size=cfg.slots)
-        results.append(_one_trial(cfg, measured, replicate=0))
+        results = (trial(theoretical_matrix(cfg.tree, list_size=cfg.slots), 0),)
+    elif workers == 1:
+        results = tuple(map(trial, map(sample, replicates), replicates))
     else:
-        for replicate in range(cfg.replicates):
-            measured = _coincidence_from_classes(*_replicate_classes(cfg, replicate, tags=True))
-            results.append(_one_trial(cfg, measured, replicate=replicate))
-    results = tuple(results)
+        from concurrent.futures import ThreadPoolExecutor  # not at import: it costs 9 ms
+
+        with ThreadPoolExecutor(workers) as pool:
+            results = tuple(map(trial, pool.map(sample, replicates), replicates))
     return RecoveryReport(
         analytic=analytic,
         replicates=results,
@@ -200,6 +234,21 @@ def recovery_trial(cfg: SimulationConfig, analytic: bool = False) -> RecoveryRep
         worst_length_error=max(r.max_length_error for r in results),
         worst_path_error=max(r.max_path_error for r in results),
     )
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(cfg: SimulationConfig) -> int:
+    """Threads that sample the replicates: one below a block of slots."""
+    return 1 if cfg.slots < BLOCK else min(cfg.replicates, _usable_cpus())
+
+
+def _sample(cfg: SimulationConfig, replicate: int):
+    return _coincidence_from_classes(*_replicate_classes(cfg, replicate, tags=True))
 
 
 def _one_trial(cfg: SimulationConfig, measured, replicate: int) -> ReplicateRecovery:

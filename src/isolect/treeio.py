@@ -322,9 +322,9 @@ def load_simulation_config(path) -> SimulationConfig:
     try:
         return SimulationConfig(
             tree=tree,
-            slots=int(data["slots"]),
-            seed=int(data["seed"]),
-            replicates=int(data.get("replicates", 1)),
+            slots=data["slots"],
+            seed=data["seed"],
+            replicates=data.get("replicates", 1),
         )
-    except (TypeError, ValueError) as exc:
+    except DomainError as exc:
         raise InputFormatError(f"{path}: bad simulation config: {exc}") from None

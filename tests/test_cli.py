@@ -286,6 +286,23 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("key, value", [
+        ("slots", 1.5), ("replicates", 2.9), ("seed", 3.7), ("slots", 1.0),
+        ("slots", True), ("replicates", False), ("slots", "12"), ("seed", None),
+    ])
+    def test_non_integer_count_exits_2(self, data_dir, tmp_path, capsys, key, value):
+        # int() would truncate these or read the string: 1.5 slots ran 1 slot
+        cfg = tmp_path / "cfg.json"
+        doc = json.loads((data_dir / "sim4_config.json").read_text())
+        cfg.write_text(json.dumps({**doc, key: value}))
+        (tmp_path / doc["tree"]).write_text((data_dir / doc["tree"]).read_text())
+        out = tmp_path / "out"
+        assert run("simulate", "--input", cfg, "--out-dir", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: bad simulation config: {key} must be an integer, got {value!r}\n"
+        )
+        assert not out.exists()
+
     def test_config_not_an_object_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("5")

@@ -1,5 +1,6 @@
 """Tree structure, path distances, theoretical matrices, fit diagnostics."""
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -306,3 +307,77 @@ class TestDeepTree:
         assert redistribute_residuals(tree, measured) is tree  # the fit is exact already
         assert fit_report(tree, measured).max_abs_distance < 1e-9
         assert render_svg(tree).count("<polygon") == k
+
+    def test_compare_hash_and_repr_deeper_than_the_recursion_limit(self, deep_caterpillar):
+        tree = deep_caterpillar
+        values = _paths(tree)[0]
+        again = _with_lengths(tree, values.copy())  # the same tree from new nodes
+        assert again.root is not tree.root
+        assert again == tree and hash(again) == hash(tree)
+        assert _with_lengths(tree, values + 1.0) != tree
+        text = repr(tree)
+        assert text.startswith("Dendrogram(root=RootLink(length=4.0, left=ChainNode(id='n")
+        assert text.count("ChainNode(") == tree.k - 2 and repr(again) == text
+        assert repr(tree.root.left).startswith(f"ChainNode(id='n{tree.k - 2}'")
+
+
+def dataclass_repr(value):
+    """The repr that the dataclass decorator generates, applied all the way down."""
+    if not dataclasses.is_dataclass(value):
+        return repr(value)
+    shown = [f.name for f in dataclasses.fields(value) if f.repr]
+    fields = ", ".join(f"{name}={dataclass_repr(getattr(value, name))}" for name in shown)
+    return f"{type(value).__name__}({fields})"
+
+
+class TestDunders:
+    """``==``, ``hash`` and ``repr`` of a tree, read from its walk record or written from a stack."""
+
+    @staticmethod
+    def trees():
+        a, b, c = Leaf("a"), Leaf("b"), Leaf("c")
+        low = ChainNode("n1", 1.0, a, b, 2.0, 3.0, "right")
+        high = ChainNode("n2", 4.0, low, c, 5.0, 6.0, "left")
+        return [
+            Dendrogram(a),
+            Dendrogram(low),
+            Dendrogram(high),
+            Dendrogram(RootLink(7.0, low, c)),
+            Dendrogram(RootLink(7.0, low, c, variant="parametrized", fraction=0.25)),
+        ]
+
+    def test_repr_is_the_dataclass_repr(self):
+        for tree in self.trees():
+            assert repr(tree) == dataclass_repr(tree)
+            assert repr(tree.root) == dataclass_repr(tree.root)
+
+    def test_equal_exactly_when_the_fields_agree(self):
+        trees = self.trees()
+        for i, x in enumerate(trees):
+            for j, y in enumerate(trees):
+                assert (x == y) == (i == j)
+            rebuilt = Dendrogram(dataclasses.replace(x.root))
+            assert rebuilt == x and hash(rebuilt) == hash(x)
+        assert trees[0] != trees[0].root  # not equal to a bare node
+
+    def test_shape_counts_with_the_same_leaves_and_chains(self):
+        # the leaf order and the chain fields agree; only the nesting differs
+        a, b, c = Leaf("a"), Leaf("b"), Leaf("c")
+        left = ChainNode("n1", 1.0, ChainNode("n2", 1.0, a, b, 1.0, 1.0), c, 1.0, 1.0)
+        right = ChainNode("n1", 1.0, a, ChainNode("n2", 1.0, b, c, 1.0, 1.0), 1.0, 1.0)
+        assert Dendrogram(left) != Dendrogram(right)
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", "m"), ("width", 1.5), ("left_edge", 2.5), ("right_edge", 3.5), ("attach_side", "left"),
+    ])
+    def test_every_chain_field_counts(self, field, value):
+        tree = self.trees()[2]
+        low = dataclasses.replace(tree.root.left, **{field: value})
+        assert Dendrogram(dataclasses.replace(tree.root, left=low)) != tree
+
+    @pytest.mark.parametrize("field, value", [
+        ("length", 8.0), ("variant", "max_chain"), ("fraction", 0.5),
+    ])
+    def test_every_root_link_field_counts(self, field, value):
+        tree = self.trees()[4]
+        assert Dendrogram(dataclasses.replace(tree.root, **{field: value})) != tree

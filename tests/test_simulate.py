@@ -2,7 +2,12 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +20,10 @@ from isolect import (
     recovery_trial,
     simulate_cognacy,
 )
-from isolect import _kernels
+from isolect import _kernels, simulate
 from isolect.dendrogram import ChainNode, Dendrogram, Leaf, RootLink
 from isolect.lexstat import _coincidence_from_classes
-from isolect.simulate import RecoveryReport, _one_trial, _replicate_classes
+from isolect.simulate import BLOCK, RecoveryReport, _one_trial, _replicate_classes, _workers
 from isolect.treeio import load_dendrogram
 
 SIM4_TREE = Path(__file__).resolve().parent.parent / "data" / "sim4_tree.json"
@@ -192,6 +197,20 @@ class TestSimulateCognacy:
         with pytest.raises(DomainError):
             SimulationConfig(tree=two_cherry_tree, slots=10, seed=1, replicates=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("slots", 10.0), ("slots", np.float64(10)), ("seed", True), ("replicates", "2"),
+    ])
+    def test_config_rejects_non_integers(self, two_cherry_tree, field, value):
+        counts = {"slots": 10, "seed": 1, "replicates": 2, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            SimulationConfig(tree=two_cherry_tree, **counts)
+
+    def test_config_takes_numpy_integers_as_ints(self, two_cherry_tree):
+        cfg = SimulationConfig(tree=two_cherry_tree, slots=np.int32(10), seed=np.uint64(1),
+                               replicates=np.int64(2))
+        assert (cfg.slots, cfg.seed, cfg.replicates) == (10, 1, 2)
+        assert all(type(v) is int for v in (cfg.slots, cfg.seed, cfg.replicates))
+
 
 class TestRecoveryTrial:
     def test_analytic_recovery_exact(self, two_cherry_tree):
@@ -300,3 +319,118 @@ class TestClassMatrixPath:
         assert sha256(repr(recovery_trial(cfg)).encode()) == (
             "096b0ada24f1bc9dcbaa8b44fb0227e582b41d43448ab28e826e47d15261866b"
         )
+
+
+class TestBlockedDraws:
+    """Each segment draws its uniforms ``BLOCK`` slots at a time, as one call would."""
+
+    @pytest.mark.parametrize("slots", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("tags", [False, True], ids=["ids", "tags"])
+    def test_blocks_match_one_call_per_segment(self, monkeypatch, slots, tags):
+        for tree in (nested_tree(), random_tree(9, 9, True)):
+            cfg = SimulationConfig(tree=tree, slots=slots, seed=slots % 101, replicates=2)
+            languages, blocked = _replicate_classes(cfg, 1, tags=tags)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "BLOCK", 1 << 62)  # one block: a call over all slots
+                again, whole = _replicate_classes(cfg, 1, tags=tags)
+            assert again == languages
+            assert blocked.dtype == whole.dtype == (np.uint8 if tags else np.int64)
+            assert blocked.tobytes() == whole.tobytes()
+
+    def test_fresh_ids_carry_across_blocks(self, monkeypatch):
+        # blocks of 7 slots, so 14 boundaries per segment: no fresh id is handed out twice
+        cfg = SimulationConfig(tree=two_leaf_tree(80.0), slots=100, seed=4)
+        _, whole = _replicate_classes(cfg, 0)
+        monkeypatch.setattr(simulate, "BLOCK", 7)
+        _, blocked = _replicate_classes(cfg, 0)
+        assert blocked.tobytes() == whole.tobytes()
+        fresh = blocked[blocked >= cfg.slots]
+        assert np.unique(fresh).size == fresh.size
+
+
+def clamping_config(slots=BLOCK + 4464, replicates=3):
+    """k = 20 with a root link: every replicate's build clamps some joins."""
+    return SimulationConfig(tree=random_tree(20, 20, True), slots=slots, seed=3,
+                            replicates=replicates)
+
+
+def trial_and_warnings(cfg):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = recovery_trial(cfg)
+    return repr(report), [(w.category, str(w.message)) for w in caught]
+
+
+class TestReplicatePool:
+    """Replicates are sampled on a thread pool; reports and warnings do not show it."""
+
+    def test_pooled_equals_caller_thread(self, monkeypatch):
+        cfg = clamping_config()
+        threads = []
+        sample = simulate._sample
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return sample(*args)
+
+        monkeypatch.setattr(simulate, "_sample", recording)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        assert _workers(cfg) == 1
+        serial = trial_and_warnings(cfg)
+        assert set(threads) == {threading.get_ident()}
+        threads.clear()
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 8)
+        assert _workers(cfg) == 3
+        pooled = trial_and_warnings(cfg)
+        assert threading.get_ident() not in threads and len(threads) == 3
+        assert len(serial[1]) >= 3  # the config clamps
+        assert pooled == serial
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        assert _workers(clamping_config(slots=BLOCK - 1)) == 1
+        assert _workers(clamping_config(slots=BLOCK)) == 2
+        assert _workers(clamping_config(slots=BLOCK, replicates=1)) == 1
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        assert _workers(clamping_config(slots=10 * BLOCK)) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 3], ids=["caller-thread", "pooled"])
+    def test_sampling_error_in_replicate_one(self, monkeypatch, cpus):
+        # replicate 1's first two leaves share no class, so counting it fails
+        replicate_classes = simulate._replicate_classes
+
+        def disjoint(cfg, replicate, tags=False):
+            languages, classes = replicate_classes(cfg, replicate, tags)
+            if replicate == 1:
+                classes[0], classes[1] = 0, 1
+            return languages, classes
+
+        monkeypatch.setattr(simulate, "_replicate_classes", disjoint)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        cfg = clamping_config()
+        assert _workers(cfg) == cpus
+        languages = cfg.tree.leaves()
+        with pytest.raises(DomainError) as raised, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            recovery_trial(cfg)
+        assert str(raised.value) == (
+            f"pair ({languages[0]}, {languages[1]}) shares no cognate classes; "
+            "coincidence of 0 has no finite distance"
+        )
+
+    def test_import_and_cli_trial_leave_the_pool_unloaded(self, data_dir, tmp_path):
+        # the CLI's 10^4-slot trial is below one block and samples on the caller's thread
+        src = str(Path(simulate.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys, warnings, isolect, isolect.cli\n"
+            "warnings.simplefilter('ignore')\n"
+            "loaded = 'concurrent.futures' in sys.modules\n"
+            "assert isolect.cli.main(['simulate', '--input', sys.argv[1], '--out-dir', sys.argv[2]]) == 0\n"
+            "print(loaded, 'concurrent.futures' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(data_dir / "sim4_config.json"), str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip().splitlines()[-1] == "False False"
