@@ -77,9 +77,12 @@ class Leaf:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainNode:
-    """An isolect chain with one subtree hanging below each endpoint."""
+    """An isolect chain with one subtree hanging below each endpoint.
+
+    Equality and hash are identity: generated ones would recurse (compare ``Dendrogram``s).
+    """
 
     id: str
     width: float
@@ -103,13 +106,14 @@ class ChainNode:
 Node = Union[Leaf, ChainNode]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootLink:
     """The final edge between the last two subtrees.
 
     Only its path length is determined by the data; ``variant`` records a
     chosen realization (``max_chain``, ``deep_point`` or ``parametrized``
     with an interpolation ``fraction``), or None while undetermined.
+    Equality and hash are identity, as on ``ChainNode``.
     """
 
     length: float

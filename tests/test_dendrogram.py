@@ -320,6 +320,15 @@ class TestDeepTree:
         assert text.count("ChainNode(") == tree.k - 2 and repr(again) == text
         assert repr(tree.root.left).startswith(f"ChainNode(id='n{tree.k - 2}'")
 
+    def test_bare_nodes_compare_and_hash_by_identity(self, deep_caterpillar):
+        tree = deep_caterpillar
+        again = _with_lengths(tree, _paths(tree)[0].copy())  # the same tree from new nodes
+        assert again == tree
+        for x, y in ((tree.root, again.root), (tree.root.left, again.root.left)):
+            assert hash(x) == hash(x) and x == x
+            assert x != y
+        assert len({tree.root, again.root, tree.root}) == 2
+
 
 def dataclass_repr(value):
     """The repr that the dataclass decorator generates, applied all the way down."""

@@ -20,6 +20,7 @@ from isolect import (
     DomainError,
     build_dendrogram,
     coincidence_from_distance,
+    distance_matrix,
     fit_report,
     leaf_distances,
     redistribute_residuals,
@@ -83,17 +84,17 @@ def tie_heavy_matrices(count=60, seed=7):
 TIE_BREAK_DIGESTS = [
     (
         "table1",
-        "4014f0cfd9188afa5b0859e8f854cd0f6b9d0dabe20684053ef3a08486d8ebb8",
+        "5ae23e1848ad9b190909c2a5be59ba0ac98ee2d541a3fc65c0b84597e6d2c083",
         "b7dee9d5d9c632034fdde1811b8fce3db0eae025e9d4718f8188b8737e6c14fb",
     ),
     (
         "table2",
-        "88263763a8f8dabda2ae61fcc957f3f43efa1722e42e08f304c12853fffb1bbf",
+        "eb3a2f10bae3c3a888dcf5ea721c77783ccf68436edc593ef7f82321c9c3a801",
         "1e8a41ac1755224d3a3cd4ebbb65bf47234e88db2ac31cf2b2412362dd2903f8",
     ),
     (
         "ties",
-        "5e709acbf8d93465bf192d85c255853b032e37e40bc5483819d3dfc7a33de90c",
+        "cac6b59dfc71c084b8193235d8e1a8d6a3c97191e31a304d8705a88cf100e7e3",
         "277f6b5832fe202cf299730df6e95d9d312deeb046b872b6c7af63ecf5bcd369",
     ),
 ]
@@ -286,14 +287,25 @@ class TestBuildDendrogram:
                 assert node.left_edge >= 0.0
                 assert node.right_edge >= 0.0
 
-    def test_mean_difference_recorded_with_observers(self, table1):
+    def test_first_mean_difference_from_distances(self, table1):
+        # two leaves join first: the mean signed difference is the plain
+        # left-to-right mean of L(u, m) - L(v, m) over the other languages
+        # in input order, and no depth correction applies
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, steps = build_dendrogram(table1)
         first = steps[0]
-        assert len(first.observer_residuals) == 4
-        deviations = [dev for _, dev in first.observer_residuals]
-        assert sum(deviations) == pytest.approx(0.0, abs=1e-9)
+        dm = distance_matrix(table1)
+        u, v = (dm.index(label) for label in first.pair)
+        total, count = 0.0, 0
+        for m in range(dm.k):
+            if m not in (u, v):
+                total += float(dm.values[u, m]) - float(dm.values[v, m])
+                count += 1
+        assert count == 4
+        assert first.mean_signed_difference == total / count
+        assert first.depth_correction == 0.0
+        assert first.chain_width == abs(total / count)
 
     def test_deterministic(self, table1):
         with warnings.catch_warnings():
