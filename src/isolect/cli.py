@@ -3,6 +3,8 @@
 Subcommands: distances, build, compare-borrowings, calibrate, simulate,
 render. All numeric output is fixed at 3 decimals and outputs carry no
 timestamps, so identical inputs and flags give byte-identical files.
+Each subcommand computes all its outputs before ``main`` writes the first
+file, so a run that fails leaves no partial output.
 Exit codes: 0 success, 1 runtime error, 2 input validation error.
 """
 
@@ -56,19 +58,20 @@ def _load_matrix(args) -> CoincidenceMatrix:
     return m
 
 
-def _write(args, name: str, content, save=None) -> None:
-    """Write ``content`` to ``name`` in the output directory and say so.
+def _write(out_dir, outputs) -> None:
+    """Write each ``(name, content, save)`` of ``outputs`` to ``out_dir`` and say so.
 
     Text is written as is; anything else goes through ``save(content, path)``.
     """
-    out_dir = Path(args.out_dir)
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    if save is None:
-        path.write_text(content, encoding="utf-8", newline="\n")
-    else:
-        save(content, path)
-    print(f"wrote {path}")
+    for name, content, save in outputs:
+        path = out_dir / name
+        if save is None:
+            path.write_text(content, encoding="utf-8", newline="\n")
+        else:
+            save(content, path)
+        print(f"wrote {path}")
 
 
 def _distance_table(m: CoincidenceMatrix) -> str:
@@ -80,10 +83,8 @@ def _distance_table(m: CoincidenceMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_distances(args) -> int:
-    m = _load_matrix(args)
-    _write(args, "distances.txt", _distance_table(m))
-    return 0
+def cmd_distances(args) -> list:
+    return [("distances.txt", _distance_table(_load_matrix(args)), None)]
 
 
 def _describe_tree(tree: Dendrogram, steps) -> str:
@@ -199,20 +200,22 @@ def _fit_text(tree: Dendrogram, m: CoincidenceMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> list:
     m = _load_matrix(args)
     if m.k < 2:
         raise InputFormatError("reconstruction needs at least 2 languages")
     tree, steps = build_dendrogram(m)
     adjusted = redistribute_residuals(tree, m)
-    _write(args, "tree.json", tree, treeio.save_dendrogram)
-    _write(args, "tree.txt", _describe_tree(tree, steps))
-    _write(args, "fit_report.txt", _fit_text(tree, m))
-    _write(args, "tree_adjusted.json", adjusted, treeio.save_dendrogram)
-    _write(args, "fit_report_adjusted.txt", _fit_text(adjusted, m))
+    outputs = [
+        ("tree.json", tree, treeio.save_dendrogram),
+        ("tree.txt", _describe_tree(tree, steps), None),
+        ("fit_report.txt", _fit_text(tree, m), None),
+        ("tree_adjusted.json", adjusted, treeio.save_dendrogram),
+        ("fit_report_adjusted.txt", _fit_text(adjusted, m), None),
+    ]
     if args.svg:
-        _write(args, "tree.svg", draw.render_svg(tree))
-    return 0
+        outputs.append(("tree.svg", draw.render_svg(tree), None))
+    return outputs
 
 
 def _clade_shapes(tree: Dendrogram) -> dict:
@@ -224,30 +227,33 @@ def _clade_shapes(tree: Dendrogram) -> dict:
     }
 
 
-def _build_variant(args, m: CoincidenceMatrix, tag: str) -> Dendrogram:
-    """Write ``m``, build its tree and write the tree, its description and optional SVG."""
-    _write(args, f"matrix_{tag}.csv", m, treeio.write_coincidence_matrix)
+def _build_variant(args, m: CoincidenceMatrix, tag: str, outputs: list) -> Dendrogram:
+    """Build ``m``'s tree; add ``m``, the tree, its description and optional SVG to ``outputs``."""
     tree, steps = build_dendrogram(m)
-    _write(args, f"tree_{tag}.json", tree, treeio.save_dendrogram)
-    _write(args, f"tree_{tag}.txt", _describe_tree(tree, steps))
+    outputs += [
+        (f"matrix_{tag}.csv", m, treeio.write_coincidence_matrix),
+        (f"tree_{tag}.json", tree, treeio.save_dendrogram),
+        (f"tree_{tag}.txt", _describe_tree(tree, steps), None),
+    ]
     if args.svg:
-        _write(args, f"tree_{tag}.svg", draw.render_svg(tree))
+        outputs.append((f"tree_{tag}.svg", draw.render_svg(tree), None))
     return tree
 
 
-def cmd_compare_borrowings(args) -> int:
+def cmd_compare_borrowings(args) -> list:
     table = treeio.read_cognacy_table(args.input)
     m_all = coincidence_from_cognacy(table, exclude_borrowed=False)
     n3 = table.borrowed_slot_count()
-    tree_all = _build_variant(args, m_all, "included")
+    outputs = []
+    tree_all = _build_variant(args, m_all, "included", outputs)
     if n3 == 0:
         print(
             "warning: no borrowed flags present; produced a single run",
             file=sys.stderr,
         )
-        return 0
+        return outputs
     m_excl = coincidence_from_cognacy(table, exclude_borrowed=True)
-    tree_excl = _build_variant(args, m_excl, "excluded")
+    tree_excl = _build_variant(args, m_excl, "excluded", outputs)
 
     dm_all = distance_matrix(m_all)
     dm_excl = distance_matrix(m_excl)
@@ -288,32 +294,32 @@ def cmd_compare_borrowings(args) -> int:
         f"ancestor depth (deep-point variant): {ancestor_depth(tree_all):.3f} -> "
         f"{ancestor_depth(tree_excl):.3f}"
     )
-    _write(args, "delta_summary.txt", "\n".join(lines) + "\n")
-    return 0
+    outputs.append(("delta_summary.txt", "\n".join(lines) + "\n", None))
+    return outputs
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> list:
     params = decay.DecayParams(rate=args.rate, shift=args.shift)
     laws = decay.calibration_laws(params, args.t0)
     lines = ["\t".join(("distance",) + decay.CURVE_TAGS)]
     for l in args.distances:
         lines.append("\t".join(f"{x:.3f}" for x in [l] + [law(l) for law in laws]))
-    # both tables before either file, so that bad input leaves no partial output
     curves = decay.sample_curves(args.l_max, args.step, params, t0=args.t0)
     rows = ["curve,distance,time"]
     for curve in curves:
         for l, t in zip(curve.distances, curve.times):
             rows.append(f"{curve.tag},{l:.3f},{t:.3f}")
-    _write(args, "times.txt", "\n".join(lines) + "\n")
-    _write(args, "curves.csv", "\n".join(rows) + "\n")
-    return 0
+    return [
+        ("times.txt", "\n".join(lines) + "\n", None),
+        ("curves.csv", "\n".join(rows) + "\n", None),
+    ]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list:
     cfg = treeio.load_simulation_config(args.input)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    _write(args, "cognacy.tsv", simulate_cognacy(cfg, replicate=0), treeio.write_cognacy_table)
+    table = simulate_cognacy(cfg, replicate=0)
     report = recovery_trial(cfg)
     lines = [
         f"slots: {cfg.slots}",
@@ -334,14 +340,14 @@ def cmd_simulate(args) -> int:
     )
     lines.append(f"worst length error: {report.worst_length_error:.3f}")
     lines.append(f"worst path error: {report.worst_path_error:.3f}")
-    _write(args, "recovery_report.txt", "\n".join(lines) + "\n")
-    return 0
+    return [
+        ("cognacy.tsv", table, treeio.write_cognacy_table),
+        ("recovery_report.txt", "\n".join(lines) + "\n", None),
+    ]
 
 
-def cmd_render(args) -> int:
-    tree = treeio.load_dendrogram(args.input)
-    _write(args, "tree.svg", draw.render_svg(tree))
-    return 0
+def cmd_render(args) -> list:
+    return [("tree.svg", draw.render_svg(treeio.load_dendrogram(args.input)), None)]
 
 
 def _add_io_flags(p, cognacy_only=False):
@@ -432,7 +438,8 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
-            return args.func(args)
+            _write(args.out_dir, args.func(args))
+            return 0
         except (InputFormatError, DomainError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -308,8 +308,9 @@ def coincidence_from_cognacy(
 def _coincidence_from_classes(languages, classes) -> CoincidenceMatrix:
     """Coincidence matrix of a (languages x slots) class matrix with no missing entries.
 
-    Any integer dtype is accepted: only equality within a slot column counts,
-    so the simulator's one-byte segment tags count like int64 class ids.
+    Any integer dtype is accepted, and only equality within a slot column
+    counts: the simulator's segment tags count like a parsed table's int64
+    class ids.
     """
     n_eff = classes.shape[1]
     if n_eff == 0:

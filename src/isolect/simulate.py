@@ -22,14 +22,13 @@ out as they do serially. Below one block of slots the work is mostly Python
 overhead under the GIL, and the replicates are sampled on the caller's
 thread.
 
-Only ``simulate_cognacy`` numbers fresh classes, as int64 ids. A recovery
-trial only asks whether two leaves share a class in a slot, so it steps
-segment tags instead: a slot holds the 1-based stepping index of the last
-segment that replaced it, or 0 if none did, in one byte per slot up to 255
-segments. Fresh ids are never reused and lie above the origin ids, so two
-leaves hold the same id in a slot exactly when the same segment replaced it
-last or neither was replaced: the tags give the same pair counts from the
-same draws.
+A slot's class is encoded as a segment tag: the 1-based stepping index of
+the last segment that replaced it, or 0 if none did since the origin, in the
+narrowest unsigned dtype that holds the segment count (one byte up to 255
+segments). Tags are handed out in stepping order and never reused, so two
+leaves share a class in a slot exactly when the same segment replaced it
+last or neither was replaced. Tags only mean something within a slot, as
+cognacy tokens do: ``simulate_cognacy`` writes tag ``N`` as class ``cN``.
 """
 
 import functools
@@ -76,14 +75,11 @@ class SimulationConfig:
             object.__setattr__(self, name, int(value))
 
 
-def _replicate_classes(cfg: SimulationConfig, replicate: int, tags: bool = False):
+def _replicate_classes(cfg: SimulationConfig, replicate: int):
     """Evolve all slots for one replicate: ``(languages, classes)``.
 
-    ``classes`` is the (k, slots) class matrix, rows in ``tree.leaves()``
-    order: int64 class ids (slot ``j`` starts in class ``j``), or with
-    ``tags`` segment tags (see the module docstring) in the narrowest
-    unsigned dtype that holds the segment count. Both come from the same
-    draws and give the same pair counts.
+    ``classes`` is the (k, slots) matrix of segment tags (see the module
+    docstring), rows in ``tree.leaves()`` order.
 
     Each stack entry holds a node, the classes of the point above it and the
     segment lengths from that point down to the node's attach endpoint. A
@@ -91,8 +87,8 @@ def _replicate_classes(cfg: SimulationConfig, replicate: int, tags: bool = False
     root link is crossed as two half-length verticals from one origin, left
     before right, which preserves every leaf-to-leaf path. A point's class
     array lives only in the entries that still need it. Each segment is
-    stepped in blocks of ``BLOCK`` slots; fresh ids carry on from block to
-    block, and a tag segment writes its one tag in every block.
+    stepped in blocks of ``BLOCK`` slots and writes its one tag in every
+    block.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(replicate,))
@@ -100,13 +96,8 @@ def _replicate_classes(cfg: SimulationConfig, replicate: int, tags: bool = False
     languages = cfg.tree.leaves()
     rows = {label: i for i, label in enumerate(languages)}
     root = cfg.tree.root
-    if tags:
-        segments = 3 * len(cfg.tree.chain_nodes()) + 2 * isinstance(root, RootLink)
-        origin = np.zeros(cfg.slots, dtype=np.min_scalar_type(segments))
-        next_id = 1
-    else:
-        origin = np.arange(cfg.slots, dtype=np.int64)
-        next_id = cfg.slots
+    segments = 3 * len(cfg.tree.chain_nodes()) + 2 * isinstance(root, RootLink)
+    origin = np.zeros(cfg.slots, dtype=np.min_scalar_type(segments))
     matrix = np.empty((len(languages), cfg.slots), dtype=origin.dtype)
     if isinstance(root, RootLink):
         half = (root.length / 2.0,)
@@ -115,12 +106,12 @@ def _replicate_classes(cfg: SimulationConfig, replicate: int, tags: bool = False
         stack = [(root, origin, ())]
     del origin
     uniforms = np.empty(min(cfg.slots, BLOCK))
+    tag = 0
     while stack:
         node, classes, lengths = stack.pop()
         for length in lengths:
-            classes, next_id = _step(
-                rng, classes, 1.0 - math.exp(-length / 100.0), next_id, tags, uniforms
-            )
+            tag += 1
+            classes = _step(rng, classes, 1.0 - math.exp(-length / 100.0), tag, uniforms)
         if isinstance(node, Leaf):
             matrix[rows[node.label]] = classes
         elif node.attach_side == "left":
@@ -132,16 +123,14 @@ def _replicate_classes(cfg: SimulationConfig, replicate: int, tags: bool = False
     return languages, matrix
 
 
-def _step(rng, parent, prob, next_id, tags, uniforms):
-    """Step ``parent`` down one segment, ``BLOCK`` slots at a time: ``(child, next_id)``."""
+def _step(rng, parent, prob, tag, uniforms):
+    """Step ``parent`` down the segment tagged ``tag``, ``BLOCK`` slots at a time."""
     child = np.empty_like(parent)
     for start in range(0, parent.size, BLOCK):
         block = slice(start, min(start + BLOCK, parent.size))
         draws = rng.random(out=uniforms[: block.stop - start])
-        _, after = _kernels.evolve_slots(parent[block], draws, prob, next_id, tags, out=child[block])
-        if not tags:  # fresh ids carry on; a tag segment keeps its one tag
-            next_id = after
-    return child, after
+        _kernels.evolve_slots(parent[block], draws, prob, tag, out=child[block])
+    return child
 
 
 def simulate_cognacy(cfg: SimulationConfig, replicate: int = 0) -> CognacyTable:
@@ -150,10 +139,10 @@ def simulate_cognacy(cfg: SimulationConfig, replicate: int = 0) -> CognacyTable:
         raise DomainError(
             f"replicate index {replicate} outside [0, {cfg.replicates})"
         )
-    languages, ids = _replicate_classes(cfg, replicate)
+    languages, classes = _replicate_classes(cfg, replicate)
     width = len(str(cfg.slots - 1))
     slots = tuple(f"s{j:0{width}d}" for j in range(cfg.slots))
-    return CognacyTable(languages, slots, ids, np.zeros_like(ids, dtype=bool))
+    return CognacyTable(languages, slots, classes, np.zeros_like(classes, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -248,7 +237,7 @@ def _workers(cfg: SimulationConfig) -> int:
 
 
 def _sample(cfg: SimulationConfig, replicate: int):
-    return _coincidence_from_classes(*_replicate_classes(cfg, replicate, tags=True))
+    return _coincidence_from_classes(*_replicate_classes(cfg, replicate))
 
 
 def _one_trial(cfg: SimulationConfig, measured, replicate: int) -> ReplicateRecovery:

@@ -152,6 +152,9 @@ def parse_cognacy_table(text: str, source: str = "<string>") -> CognacyTable:
                 f"{source}, line {lineno}: expected 4 tab-separated fields, got {len(fields)}"
             )
         language, slot, token, flag = (f.strip() for f in fields)
+        for name, value in (("language", language), ("slot", slot), ("class", token)):
+            if not value:
+                raise InputFormatError(f"{source}, line {lineno}: empty {name} field")
         if flag not in ("0", "1"):
             raise InputFormatError(
                 f"{source}, line {lineno}: borrowed flag must be 0 or 1, got {flag!r}"

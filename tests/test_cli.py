@@ -4,12 +4,21 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from isolect import coincidence_from_cognacy, simulate, theoretical_matrix
 from isolect.cli import main
-from isolect.treeio import dendrogram_to_dict, load_dendrogram, write_cognacy_table
-from isolect import theoretical_matrix
+from isolect.dendrogram import Dendrogram, Leaf, RootLink
+from isolect.treeio import (
+    dendrogram_to_dict,
+    load_dendrogram,
+    load_simulation_config,
+    read_cognacy_table,
+    write_cognacy_table,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -192,6 +201,26 @@ class TestCompareBorrowings:
         assert (out / "tree_included.json").exists()
         assert not (out / "tree_excluded.json").exists()
 
+    def test_empty_class_exits_2(self, tmp_path, capsys):
+        # two blank classes in one slot were read as one shared class (50.000)
+        src = tmp_path / "cognacy.tsv"
+        src.write_text("language\tslot\tclass\tborrowed\n"
+                       "x\ts0\tw\t0\nx\ts1\t\t0\ny\ts0\tv\t0\ny\ts1\t\t0\n")
+        assert run("compare-borrowings", "--input", src, "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {src}, line 3: empty class field\n"
+
+    def test_all_slots_borrowed_leaves_no_output(self, borrowing_table, tmp_path, capsys):
+        # the included run builds; excluding every slot fails after it
+        table = replace(borrowing_table, borrowed=np.ones_like(borrowing_table.borrowed))
+        src = tmp_path / "cognacy.tsv"
+        write_cognacy_table(table, src)
+        out = tmp_path / "out"
+        assert run("compare-borrowings", "--input", src, "--out-dir", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no slots left after excluding borrowed entries\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_times_and_curves(self, tmp_path):
@@ -258,6 +287,33 @@ class TestSimulate:
         run("simulate", "--input", data_dir / "sim4_config.json", "--seed", "77",
             "--out-dir", out_b)
         assert (out_a / "cognacy.tsv").read_bytes() != (out_b / "cognacy.tsv").read_bytes()
+
+    def test_table_reads_back_to_the_trial_values(self, data_dir, tmp_path):
+        # the written tokens are segment tags; read back, they count exactly
+        # as the recovery trial counts its first replicate
+        out = tmp_path / "out"
+        assert run("simulate", "--input", data_dir / "sim4_config.json", "--out-dir", out) == 0
+        measured = coincidence_from_cognacy(read_cognacy_table(out / "cognacy.tsv"))
+        sampled = simulate._sample(load_simulation_config(data_dir / "sim4_config.json"), 0)
+        assert measured.labels == sampled.labels
+        assert measured.list_size == sampled.list_size
+        assert measured.values.tobytes() == sampled.values.tobytes()
+
+    def test_failed_trial_leaves_no_output(self, tmp_path, capsys):
+        # 900 swadesh apart, the two leaves share no class in 20 slots: the
+        # table is simulated, then the trial fails
+        tree = Dendrogram(RootLink(length=900.0, left=Leaf("a"), right=Leaf("b")))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tree": dendrogram_to_dict(tree), "slots": 20, "seed": 1}))
+        out = tmp_path / "out"
+        assert run("simulate", "--input", cfg, "--out-dir", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: pair (a, b) shares no cognate classes; "
+            "coincidence of 0 has no finite distance\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_zero_replicates_exits_2(self, tmp_path, fig4_tree):
         from isolect.treeio import dendrogram_to_dict
@@ -452,7 +508,7 @@ PINNED_RUNS = {
         ("simulate", "--input", "{data}/sim4_config.json"),
         ("cognacy.tsv", "recovery_report.txt"),
         {
-            "cognacy.tsv": "1522e4415c244ef78a634275d7b28b1478693d93ad4f1f1a7f6af7266c5b2fb3",
+            "cognacy.tsv": "3b11bb2e176f255f38b92b5175b0d28e378b8a015d7900224999bfadbc933155",
             "recovery_report.txt": "bea4231ccea5bf4243defab3e439ca02327ebc198be2146d5b495fe662a2a77d",
         },
     ),

@@ -20,7 +20,7 @@ from isolect import (
     recovery_trial,
     simulate_cognacy,
 )
-from isolect import _kernels, simulate
+from isolect import simulate
 from isolect.dendrogram import ChainNode, Dendrogram, Leaf, RootLink
 from isolect.lexstat import _coincidence_from_classes
 from isolect.simulate import BLOCK, RecoveryReport, _one_trial, _replicate_classes, _workers
@@ -74,6 +74,16 @@ def far_deep_caterpillar(k):
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def partition(classes):
+    """Each entry's canonical class: the row of the first leaf that shares its class in its slot.
+
+    Row by row, this is ``np.argmax(c[:, None, :] == c[None, :, :], axis=1)``
+    without the k x k x slots temporary. Class tokens only mean something
+    within a slot, so pinned digests hash this, not the tokens.
+    """
+    return np.stack([np.argmax(classes == row, axis=0) for row in classes]).astype("<i8")
 
 
 class TestSimulateCognacy:
@@ -138,48 +148,73 @@ class TestSimulateCognacy:
         assert not table.borrowed.any()
 
     def test_class_ids_pinned(self):
-        # digest of the class matrix as the simulator produced it before
-        # recovery trials stopped building tables; guards the RNG stream
+        # digest of the class matrix's per-slot partition, pinned on the
+        # int64 fresh ids the simulator numbered before it stepped segment
+        # tags for every caller; guards the RNG stream
         cfg = SimulationConfig(tree=nested_tree(), slots=5000, seed=31, replicates=2)
         table = simulate_cognacy(cfg, replicate=1)
         assert table.languages == ("p", "q", "s", "t", "u")
         assert table.slots[0] == "s0000" and table.slots[-1] == "s4999"
-        assert sha256(table.class_ids.astype("<i8").tobytes()) == (
-            "c1a372b8a20232547c8be483622af870c7344535290fdc4f96fda972fc45e4c8"
+        assert sha256(partition(table.class_ids).tobytes()) == (
+            "8e147baed56743180afcc13f99ecb34455ce9bd001aa75107f334c50fd63ebc2"
         )
 
     @pytest.mark.parametrize("root_link,digest", [
-        (False, "f8a6cd9a92cb23f30a0895f73c8a4ec922e0d9f43cf3ea4f2e55e8666834ca3d"),
-        (True, "48562ea029a1b99e6392712262f249717c68be80fe5df531b768d1656c466b52"),
+        (False, "83c6dedb0ae1a5679e94ad82e73d43f14ae0345fb500597322d2231fd58fb13c"),
+        (True, "e5af3c522fb83cc7017e73979297b9f6d0bb2477abf416eaa1ec92d3efcacd37"),
     ], ids=["chain-root", "root-link"])
     def test_class_ids_pinned_random_trees(self, root_link, digest):
-        # one digest over the class matrices of seeded random trees with
-        # 2 to 30 leaves; pinned before the simulator's traversal was rewritten
+        # one digest over the partitions of seeded random trees with 2 to 30
+        # leaves; pinned on the int64 fresh ids
         h = hashlib.sha256()
         for k in range(2, 31):
             cfg = SimulationConfig(tree=random_tree(k, k, root_link), slots=300, seed=100 + k)
             table = simulate_cognacy(cfg)
             h.update(repr(table.languages).encode())
-            h.update(table.class_ids.astype("<i8").tobytes())
+            h.update(partition(table.class_ids).tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("root_link,pinned", [
+        (False, {
+            86: ("30497a249ff0b55d466156eca51601f16a2d4bd03b5de36515826abb1cc4334d", "L74", "L70"),
+            87: ("5fe1c0f2e2a7c1a6dc78723f6eae563ceca14f41998abf516ca12d10b64c3214", "L40", "L30"),
+        }),
+        (True, {
+            86: ("95eb6c5e39379de0ea328f8b992f5a1698379d41f493865fcfa88fa64351984d", "L64", "L38"),
+            87: ("aa53459e75e1f265b40cc88adb2ea993267d6c36fb9bb89489eaa37e23b996cd", "L31", "L38"),
+        }),
+    ], ids=["chain-root", "root-link"])
+    def test_partitions_pinned_at_the_tag_dtype_boundary(self, root_link, pinned):
+        # 86 leaves step at most 255 segments, 87 more (uint16 tags); at 300
+        # slots each tree has a pair that shares no class. Pinned on the
+        # int64 fresh ids
+        for k, (digest, a, b) in pinned.items():
+            cfg = SimulationConfig(tree=random_tree(k, k, root_link), slots=300, seed=100 + k)
+            languages, classes = _replicate_classes(cfg, 0)
+            assert classes.dtype == (np.uint16 if k == 87 else np.uint8)
+            assert sha256(partition(classes).tobytes()) == digest
+            with pytest.raises(DomainError, match=rf"^pair \({a}, {b}\) shares no cognate"):
+                _coincidence_from_classes(languages, classes)
+
+    def test_partition_pinned_over_several_blocks(self):
+        # 120 leaves under a root link step 356 segments (uint16 tags) over
+        # two blocks of slots; pinned on the int64 fresh ids
+        cfg = SimulationConfig(tree=random_tree(120, 120, True), slots=70000, seed=220)
+        _, classes = _replicate_classes(cfg, 0)
+        assert cfg.slots > BLOCK and classes.dtype == np.uint16
+        assert sha256(partition(classes).tobytes()) == (
+            "49e4ec34868168131a262f0cb6d3cefed95dce3972a4b4119a302bfbf9a75bca"
+        )
+
     def test_class_arrays_freed_on_deep_far_sides(self):
-        # a traversal that keeps one class array per level of depth (as plain
-        # recursion does) would hold about 30 of them here
+        # one-byte tags: the uniforms take 8 bytes per slot, and a traversal
+        # that keeps one class array per level of depth (as plain recursion
+        # does) would hold about 30 more
         slots = 10**5
         cfg = SimulationConfig(tree=far_deep_caterpillar(31), slots=slots, seed=3)
         tracemalloc.start()
         try:
-            _, ids = _replicate_classes(cfg, 0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= ids.nbytes + 8 * slots * 8
-        # one-byte tags: the uniforms take 8 bytes per slot, and the held tag
-        # arrays of a per-level traversal would add about 30 more
-        tracemalloc.start()
-        try:
-            _, tags = _replicate_classes(cfg, 0, tags=True)
+            _, tags = _replicate_classes(cfg, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -189,7 +224,7 @@ class TestSimulateCognacy:
     def test_single_leaf_tree(self):
         table = simulate_cognacy(SimulationConfig(tree=Dendrogram(Leaf("solo")), slots=5, seed=1))
         assert table.languages == ("solo",)
-        assert table.class_ids.tolist() == [[0, 1, 2, 3, 4]]
+        assert table.class_ids.tolist() == [[0, 0, 0, 0, 0]]
 
     def test_config_validation(self, two_cherry_tree):
         with pytest.raises(DomainError):
@@ -259,14 +294,6 @@ def report_through_tables(cfg):
     )
 
 
-def coincidence_or_error(languages, classes):
-    """The coincidence values' bytes, or the error text when a pair shares nothing."""
-    try:
-        return _coincidence_from_classes(languages, classes).values.tobytes()
-    except DomainError as error:
-        return str(error)
-
-
 class TestClassMatrixPath:
     """``recovery_trial`` counts from the class matrix; tables must agree."""
 
@@ -286,27 +313,11 @@ class TestClassMatrixPath:
         cfg = SimulationConfig(tree=nested_tree(), slots=4000, seed=5, replicates=2)
         assert repr(recovery_trial(cfg)) == repr(report_through_tables(cfg))
 
-    @pytest.mark.parametrize("root_link", [False, True], ids=["chain-root", "root-link"])
-    def test_tags_count_like_ids(self, root_link):
-        # 86 leaves step at most 255 segments, 87 more (uint16 tags); at 300
-        # slots the 87-leaf trees have pairs that share no class, so the
-        # error path is compared as well
-        for k in [*range(2, 31), 86, 87]:
-            cfg = SimulationConfig(tree=random_tree(k, k, root_link), slots=300, seed=100 + k)
-            languages, ids = _replicate_classes(cfg, 0)
-            tagged, tags = _replicate_classes(cfg, 0, tags=True)
-            assert tagged == languages
-            assert tags.dtype == (np.uint16 if k == 87 else np.uint8)
-            assert np.array_equal(
-                _kernels.pair_shared_counts(tags), _kernels.pair_shared_counts(ids)
-            )
-            assert coincidence_or_error(languages, tags) == coincidence_or_error(languages, ids)
-
     def test_tags_are_stepping_indices(self):
         # every slot is replaced on both halves of the root link: the left
         # half is the first segment stepped, the right half the second
         cfg = SimulationConfig(tree=two_leaf_tree(1e5), slots=50, seed=1)
-        languages, tags = _replicate_classes(cfg, 0, tags=True)
+        languages, tags = _replicate_classes(cfg, 0)
         assert languages == ("x", "y")
         assert tags.tolist() == [[1] * 50, [2] * 50]
 
@@ -324,28 +335,18 @@ class TestClassMatrixPath:
 class TestBlockedDraws:
     """Each segment draws its uniforms ``BLOCK`` slots at a time, as one call would."""
 
-    @pytest.mark.parametrize("slots", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
-    @pytest.mark.parametrize("tags", [False, True], ids=["ids", "tags"])
-    def test_blocks_match_one_call_per_segment(self, monkeypatch, slots, tags):
+    @pytest.mark.parametrize("slots", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7],
+                             ids=lambda slots: f"tags-{slots}")
+    def test_blocks_match_one_call_per_segment(self, monkeypatch, slots):
         for tree in (nested_tree(), random_tree(9, 9, True)):
             cfg = SimulationConfig(tree=tree, slots=slots, seed=slots % 101, replicates=2)
-            languages, blocked = _replicate_classes(cfg, 1, tags=tags)
+            languages, blocked = _replicate_classes(cfg, 1)
             with monkeypatch.context() as patch:
                 patch.setattr(simulate, "BLOCK", 1 << 62)  # one block: a call over all slots
-                again, whole = _replicate_classes(cfg, 1, tags=tags)
+                again, whole = _replicate_classes(cfg, 1)
             assert again == languages
-            assert blocked.dtype == whole.dtype == (np.uint8 if tags else np.int64)
+            assert blocked.dtype == whole.dtype == np.uint8
             assert blocked.tobytes() == whole.tobytes()
-
-    def test_fresh_ids_carry_across_blocks(self, monkeypatch):
-        # blocks of 7 slots, so 14 boundaries per segment: no fresh id is handed out twice
-        cfg = SimulationConfig(tree=two_leaf_tree(80.0), slots=100, seed=4)
-        _, whole = _replicate_classes(cfg, 0)
-        monkeypatch.setattr(simulate, "BLOCK", 7)
-        _, blocked = _replicate_classes(cfg, 0)
-        assert blocked.tobytes() == whole.tobytes()
-        fresh = blocked[blocked >= cfg.slots]
-        assert np.unique(fresh).size == fresh.size
 
 
 def clamping_config(slots=BLOCK + 4464, replicates=3):
@@ -399,8 +400,8 @@ class TestReplicatePool:
         # replicate 1's first two leaves share no class, so counting it fails
         replicate_classes = simulate._replicate_classes
 
-        def disjoint(cfg, replicate, tags=False):
-            languages, classes = replicate_classes(cfg, replicate, tags)
+        def disjoint(cfg, replicate):
+            languages, classes = replicate_classes(cfg, replicate)
             if replicate == 1:
                 classes[0], classes[1] = 0, 1
             return languages, classes

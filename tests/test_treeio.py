@@ -165,6 +165,19 @@ class TestCognacyFormat:
         with pytest.raises(InputFormatError, match="4 tab-separated"):
             parse_cognacy_table(text)
 
+    @pytest.mark.parametrize("row, field", [
+        ("\ts1\tv\t0", "language"),
+        ("y\t \tv\t0", "slot"),
+        ("y\ts1\t\t0", "class"),
+    ], ids=["language", "slot", "class"])
+    def test_empty_field(self, row, field):
+        # were taken: blank classes in one slot counted as a shared class,
+        # and a blank language became a language labelled ""
+        text = f"language\tslot\tclass\tborrowed\nx\ts1\tw\t0\n{row}\n"
+        with pytest.raises(InputFormatError) as raised:
+            parse_cognacy_table(text, source="t.tsv")
+        assert str(raised.value) == f"t.tsv, line 3: empty {field} field"
+
 
 class TestTreeDocuments:
     def test_json_round_trip_preserves_theoretical_matrix(self, table1, tmp_path):
