@@ -227,25 +227,24 @@ def _clade_shapes(tree: Dendrogram) -> dict:
     }
 
 
-def _build_variant(args, m: CoincidenceMatrix, tag: str, outputs: list) -> Dendrogram:
-    """Build ``m``'s tree; add ``m``, the tree, its description and optional SVG to ``outputs``."""
+def _build_variant(args, m: CoincidenceMatrix, tag: str) -> tuple:
+    """``m``'s tree and its outputs: ``m``, the tree, its description and optional SVG."""
     tree, steps = build_dendrogram(m)
-    outputs += [
+    outputs = [
         (f"matrix_{tag}.csv", m, treeio.write_coincidence_matrix),
         (f"tree_{tag}.json", tree, treeio.save_dendrogram),
         (f"tree_{tag}.txt", _describe_tree(tree, steps), None),
     ]
     if args.svg:
         outputs.append((f"tree_{tag}.svg", draw.render_svg(tree), None))
-    return tree
+    return tree, outputs
 
 
 def cmd_compare_borrowings(args) -> list:
     table = treeio.read_cognacy_table(args.input)
     m_all = coincidence_from_cognacy(table, exclude_borrowed=False)
     n3 = table.borrowed_slot_count()
-    outputs = []
-    tree_all = _build_variant(args, m_all, "included", outputs)
+    tree_all, outputs = _build_variant(args, m_all, "included")
     if n3 == 0:
         print(
             "warning: no borrowed flags present; produced a single run",
@@ -253,7 +252,8 @@ def cmd_compare_borrowings(args) -> list:
         )
         return outputs
     m_excl = coincidence_from_cognacy(table, exclude_borrowed=True)
-    tree_excl = _build_variant(args, m_excl, "excluded", outputs)
+    tree_excl, excluded = _build_variant(args, m_excl, "excluded")
+    outputs += excluded
 
     dm_all = distance_matrix(m_all)
     dm_excl = distance_matrix(m_excl)

@@ -164,7 +164,12 @@ def parse_cognacy_table(text: str, source: str = "<string>") -> CognacyTable:
         raise InputFormatError(f"{source}: missing cognacy header row")
     if not rows:
         raise InputFormatError(f"{source}: cognacy table has no data rows")
-    return CognacyTable.from_rows(rows)
+    table = CognacyTable.from_rows(rows)
+    if len(rows) != table.class_ids.size:
+        i, j = np.argwhere(table.class_ids < 0)[0]
+        language, slot = table.languages[i], table.slots[j]
+        raise InputFormatError(f"{source}: no row for language {language!r}, slot {slot!r}")
+    return table
 
 
 def read_cognacy_table(path) -> CognacyTable:

@@ -201,14 +201,6 @@ class TestCompareBorrowings:
         assert (out / "tree_included.json").exists()
         assert not (out / "tree_excluded.json").exists()
 
-    def test_empty_class_exits_2(self, tmp_path, capsys):
-        # two blank classes in one slot were read as one shared class (50.000)
-        src = tmp_path / "cognacy.tsv"
-        src.write_text("language\tslot\tclass\tborrowed\n"
-                       "x\ts0\tw\t0\nx\ts1\t\t0\ny\ts0\tv\t0\ny\ts1\t\t0\n")
-        assert run("compare-borrowings", "--input", src, "--out-dir", tmp_path / "out") == 2
-        assert capsys.readouterr().err == f"error: {src}, line 3: empty class field\n"
-
     def test_all_slots_borrowed_leaves_no_output(self, borrowing_table, tmp_path, capsys):
         # the included run builds; excluding every slot fails after it
         table = replace(borrowing_table, borrowed=np.ones_like(borrowing_table.borrowed))

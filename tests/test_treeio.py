@@ -178,6 +178,21 @@ class TestCognacyFormat:
             parse_cognacy_table(text, source="t.tsv")
         assert str(raised.value) == f"t.tsv, line 3: empty {field} field"
 
+    def test_missing_row(self):
+        text = "language\tslot\tclass\tborrowed\nx\ts0\tw\t0\nx\ts1\tw\t0\ny\ts0\tw\t0\n"
+        with pytest.raises(InputFormatError) as raised:
+            parse_cognacy_table(text, source="t.tsv")
+        assert str(raised.value) == "t.tsv: no row for language 'y', slot 's1'"
+
+    def test_table_cut_on_a_line_break_is_rejected(self, borrowing_table, tmp_path):
+        # was read as a valid table with missing entries
+        path = tmp_path / "cognacy.tsv"
+        write_cognacy_table(borrowing_table, path)
+        text = path.read_text()
+        cut = text[: text.rindex("\n", 0, len(text) // 2) + 1]
+        with pytest.raises(InputFormatError, match="no row for language"):
+            parse_cognacy_table(cut)
+
 
 class TestTreeDocuments:
     def test_json_round_trip_preserves_theoretical_matrix(self, table1, tmp_path):
