@@ -151,6 +151,8 @@ def render_svg(d: Dendrogram) -> str:
     r = 5.0
     for x, label in canvas.leaves:
         cx, cy = px(x), py(0.0)
+        # a label may hold characters that SVG text must escape
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<polygon points="{cx:.1f},{cy - r:.1f} {cx + r:.1f},{cy:.1f} '
             f'{cx:.1f},{cy + r:.1f} {cx - r:.1f},{cy:.1f}" fill="white" '

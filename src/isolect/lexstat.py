@@ -50,7 +50,39 @@ def _check_labels(labels) -> tuple:
         raise DomainError(f"duplicate language labels: {dupes}")
     if not labels:
         raise DomainError("at least one language label required")
+    _check_writable(labels, "language", ",\t")
     return labels
+
+
+# the characters at which ``str.splitlines`` ends a line
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _check_writable(labels: tuple, what: str, separators: str) -> None:
+    """Reject a label that the files it is written to could not read back.
+
+    The parsers split lines, split fields at ``separators`` and strip each
+    field, and the cognacy parser rejects an empty field. So a label is not
+    empty, holds no separator or line break, and does not start or end with
+    whitespace. The joined labels are scanned once per forbidden character,
+    and each label is stripped in one ``map``; single labels are looked at
+    only to name the first bad one.
+    """
+    forbidden = separators + _LINE_BREAKS
+    text = "".join(labels)
+    if (
+        "" in labels
+        or any(c in text for c in forbidden)
+        or tuple(map(str.strip, labels)) != labels
+    ):
+        bad = next(
+            x for x in labels if not x or x != x.strip() or any(c in x for c in forbidden)
+        )
+        raise DomainError(
+            f"{what} label {bad!r} cannot be written to a file: it is empty or holds "
+            f"{' or '.join(map(repr, separators))}, a line break, or leading or "
+            "trailing whitespace"
+        )
 
 
 # Per matrix kind: the test an off-diagonal entry must pass besides being
@@ -191,11 +223,12 @@ def distance_matrix(m: CoincidenceMatrix) -> DistanceMatrix:
 class CognacyTable:
     """Per-language cognate-class assignments over a shared slot universe.
 
-    ``class_ids`` holds one int per (language, slot); equality within a slot
-    column means the two languages carry the same cognate class there. A
-    negative id marks a missing entry. ``borrowed`` flags loanword entries.
-    Equality and hash are identity (``eq=False``), since ``==`` on the array
-    fields would raise.
+    The table is complete: ``class_ids`` holds a non-negative id for every
+    (language, slot), in the integer dtype it was given (other input becomes
+    int64), and equal ids in a slot column mean a shared cognate class.
+    ``borrowed`` flags loanword entries. Labels must be ones the files can
+    carry (``_check_writable``). Equality and hash are identity
+    (``eq=False``), since ``==`` on the array fields would raise.
     """
 
     languages: tuple
@@ -208,13 +241,18 @@ class CognacyTable:
         slots = tuple(self.slots)
         if len(set(slots)) != len(slots):
             raise InputFormatError("duplicate slot identifiers in cognacy table")
-        ids = np.ascontiguousarray(self.class_ids, dtype=np.int64)
+        _check_writable(slots, "slot", "\t")
+        ids = np.asarray(self.class_ids)
+        ids = np.ascontiguousarray(ids, dtype=ids.dtype if ids.dtype.kind in "iu" else np.int64)
         flags = np.ascontiguousarray(self.borrowed, dtype=bool)
         shape = (len(languages), len(slots))
         if ids.shape != shape or flags.shape != shape:
             raise InputFormatError(
                 f"cognacy arrays must have shape {shape}, got {ids.shape} and {flags.shape}"
             )
+        if ids.dtype.kind == "i" and ids.size and ids.min() < 0:
+            i, j = np.argwhere(ids < 0)[0]
+            raise DomainError(f"negative class id for language {languages[i]!r}, slot {slots[j]!r}")
         ids.setflags(write=False)
         flags.setflags(write=False)
         object.__setattr__(self, "languages", languages)
@@ -227,7 +265,8 @@ class CognacyTable:
         """Build a table from (language, slot, class_token, borrowed) rows.
 
         Languages and slots keep first-appearance order; class tokens are
-        opaque and compared by equality within each slot.
+        opaque and compared by equality within each slot. A missing or
+        duplicate row raises an ``InputFormatError`` that names it.
         """
         languages: list = []
         slots: list = []
@@ -247,19 +286,18 @@ class CognacyTable:
                 slot_index[slot] = len(slots)
                 slots.append(slot)
             entries[key] = (token, bool(borrowed))
-        ids = np.full((len(languages), len(slots)), -1, dtype=np.int64)
-        flags = np.zeros((len(languages), len(slots)), dtype=bool)
+        ids = np.empty((len(languages), len(slots)), dtype=np.int64)
+        flags = np.empty((len(languages), len(slots)), dtype=bool)
         for j, slot in enumerate(slots):
             token_ids: dict = {}
             for i, language in enumerate(languages):
-                entry = entries.get((language, slot))
-                if entry is None:
-                    continue
-                token, borrowed = entry
-                if token not in token_ids:
-                    token_ids[token] = len(token_ids)
-                ids[i, j] = token_ids[token]
-                flags[i, j] = borrowed
+                try:
+                    token, flags[i, j] = entries[language, slot]
+                except KeyError:
+                    raise InputFormatError(
+                        f"no row for language {language!r}, slot {slot!r}"
+                    ) from None
+                ids[i, j] = token_ids.setdefault(token, len(token_ids))
         return cls(tuple(languages), tuple(slots), ids, flags)
 
     @property
@@ -272,12 +310,9 @@ class CognacyTable:
 
     def iter_rows(self):
         """Yield (language, slot, class_token, borrowed) rows, language-major."""
-        for i, language in enumerate(self.languages):
-            for j, slot in enumerate(self.slots):
-                cid = int(self.class_ids[i, j])
-                if cid < 0:
-                    continue
-                yield language, slot, f"c{cid}", bool(self.borrowed[i, j])
+        for language, ids, flags in zip(self.languages, self.class_ids, self.borrowed):
+            for slot, cid, flag in zip(self.slots, ids.tolist(), flags.tolist()):
+                yield language, slot, f"c{cid}", flag
 
 
 def coincidence_from_cognacy(
@@ -285,20 +320,11 @@ def coincidence_from_cognacy(
 ) -> CoincidenceMatrix:
     """Count shared cognate classes per language pair into a matrix.
 
-    With ``exclude_borrowed`` every slot flagged as borrowed in any language
-    is dropped for all languages, and the effective list size shrinks
+    A table is complete, so every slot counts for every pair. With
+    ``exclude_borrowed`` every slot flagged as borrowed in any language is
+    dropped for all languages, and the effective list size shrinks
     accordingly. Values are real percentages, never rounded.
     """
-    missing = np.argwhere(table.class_ids < 0)
-    if missing.size:
-        per_lang: dict = {}
-        for i, j in missing:
-            per_lang.setdefault(table.languages[i], []).append(table.slots[j])
-        detail = "; ".join(
-            f"{lang}: {', '.join(slots[:10])}" + (" ..." if len(slots) > 10 else "")
-            for lang, slots in per_lang.items()
-        )
-        raise InputFormatError(f"languages with missing slots: {detail}")
     classes = table.class_ids
     if exclude_borrowed:
         classes = classes[:, ~table.borrowed.any(axis=0)]

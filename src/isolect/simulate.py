@@ -41,7 +41,7 @@ import numpy as np
 from . import _kernels
 from .dendrogram import Dendrogram, Leaf, RootLink, _leaf_positions, _paths, theoretical_matrix
 from .errors import DomainError
-from .lexstat import CognacyTable, _coincidence_from_classes
+from .lexstat import CognacyTable, _check_labels, _coincidence_from_classes
 from .reconstruct import build_dendrogram, redistribute_residuals
 
 __all__ = [
@@ -58,7 +58,11 @@ BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Ground-truth tree, list size, master seed, and replicate count."""
+    """Ground-truth tree, list size, master seed, and replicate count.
+
+    The leaf labels become the languages of the simulated table, so they
+    must be labels that its files can carry.
+    """
 
     tree: Dendrogram
     slots: int
@@ -66,6 +70,7 @@ class SimulationConfig:
     replicates: int = 1
 
     def __post_init__(self):
+        _check_labels(self.tree.leaves())
         for name, least in (("slots", 1), ("replicates", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

@@ -6,7 +6,11 @@ each following line repeats a label and gives k comma-separated values with
 ``#list_size=N`` sets the basic-list size.
 
 Cognacy files: tab-separated with a required header row
-``language<TAB>slot<TAB>class<TAB>borrowed`` and 0/1 borrowed flags.
+``language<TAB>slot<TAB>class<TAB>borrowed`` and 0/1 borrowed flags. Every
+language has one row for every slot.
+
+A matrix or table whose labels these files could not read back (see
+``lexstat._check_writable``) is rejected when it is built.
 
 Tree descriptions: a nested JSON document that round-trips exactly, plus a
 one-line annotated parenthesized rendering for humans (chain widths have no
@@ -164,12 +168,10 @@ def parse_cognacy_table(text: str, source: str = "<string>") -> CognacyTable:
         raise InputFormatError(f"{source}: missing cognacy header row")
     if not rows:
         raise InputFormatError(f"{source}: cognacy table has no data rows")
-    table = CognacyTable.from_rows(rows)
-    if len(rows) != table.class_ids.size:
-        i, j = np.argwhere(table.class_ids < 0)[0]
-        language, slot = table.languages[i], table.slots[j]
-        raise InputFormatError(f"{source}: no row for language {language!r}, slot {slot!r}")
-    return table
+    try:
+        return CognacyTable.from_rows(rows)
+    except (DomainError, InputFormatError) as exc:
+        raise InputFormatError(f"{source}: {exc}") from None
 
 
 def read_cognacy_table(path) -> CognacyTable:

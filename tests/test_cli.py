@@ -307,6 +307,22 @@ class TestSimulate:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("label", ["a,b", "x\ty"], ids=["comma", "tab"])
+    def test_leaf_that_files_cannot_carry_exits_2(self, tmp_path, capsys, label):
+        # such a leaf was written to cognacy.tsv and, through compare-borrowings,
+        # to a matrix file; neither read back
+        tree = Dendrogram(RootLink(length=30.0, left=Leaf(label), right=Leaf("c")))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tree": dendrogram_to_dict(tree), "slots": 20, "seed": 1}))
+        out = tmp_path / "out"
+        assert run("simulate", "--input", cfg, "--out-dir", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {cfg}: bad simulation config: language label {label!r} cannot be written"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_zero_replicates_exits_2(self, tmp_path, fig4_tree):
         from isolect.treeio import dendrogram_to_dict
 

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -337,6 +338,17 @@ def dataclass_repr(value):
     shown = [f.name for f in dataclasses.fields(value) if f.repr]
     fields = ", ".join(f"{name}={dataclass_repr(getattr(value, name))}" for name in shown)
     return f"{type(value).__name__}({fields})"
+
+
+class TestRenderSvg:
+    def test_labels_are_escaped(self):
+        # an unescaped & or < made the drawing invalid XML
+        labels = ("A&B", "C<D", "E")
+        m = CoincidenceMatrix(labels, [[np.nan, 80, 60], [80, np.nan, 60], [60, 60, np.nan]])
+        tree, _ = build_dendrogram(m)
+        root = ElementTree.fromstring(render_svg(tree))
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert all(texts.count(label) == 1 for label in labels)
 
 
 class TestDunders:

@@ -1,5 +1,6 @@
 """Scalar conversions, matrix transforms, cognacy counting, borrowings."""
 
+import re
 
 import numpy as np
 import pytest
@@ -257,9 +258,9 @@ class TestCognacyCounting:
             ("x", "s1", "w", False),
             ("y", "s0", "w", False),
         ]
-        table = CognacyTable.from_rows(rows)
+        # a table is complete: the gap is refused when the table is built
         with pytest.raises(InputFormatError, match="s1"):
-            coincidence_from_cognacy(table)
+            CognacyTable.from_rows(rows)
 
     def test_empty_effective_list(self):
         rows = [
@@ -306,6 +307,24 @@ class TestCognacyCounting:
                 [("x", "s0", "w", False), ("x", "s0", "v", False)]
             )
 
+    def test_negative_id_rejected(self):
+        # a negative id once marked a missing entry; now it would count as a class
+        ids = np.array([[0, 1], [0, -1]])
+        with pytest.raises(DomainError, match=r"negative class id for language 'y', slot 's1'"):
+            CognacyTable(("x", "y"), ("s0", "s1"), ids, np.zeros((2, 2), bool))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64])
+    def test_integer_ids_keep_their_dtype(self, dtype):
+        ids = np.array([[0, 1], [0, 2]], dtype=dtype)
+        table = CognacyTable(("x", "y"), ("s0", "s1"), ids, np.zeros((2, 2), bool))
+        assert table.class_ids.dtype == dtype
+        assert coincidence_from_cognacy(table).value("x", "y") == 50.0
+
+    def test_other_ids_become_int64(self):
+        table = CognacyTable(("x", "y"), ("s0",), [[1.0], [2.0]], [[0], [0]])
+        assert table.class_ids.dtype == np.int64
+        assert table.class_ids.tolist() == [[1], [2]]
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
         langs = ("p", "q", "r")
@@ -322,6 +341,30 @@ class TestCognacyCounting:
             m = coincidence_from_cognacy(shuffled)
             for a, b, value in base.pairs():
                 assert m.value(a, b) == pytest.approx(value, abs=1e-12)
+
+
+class TestUnwritableLabels:
+    """A label must read back from every file it is written to."""
+
+    @pytest.mark.parametrize("label", [
+        "a,b", "x\ty", "a\nb", "a\r", "a\u2028b", " a", "a ", "\xa0a", "",
+    ])
+    def test_language_label_rejected(self, label):
+        values = [[np.nan, 50.0], [50.0, np.nan]]
+        with pytest.raises(DomainError, match=f"^language label {re.escape(repr(label))} cannot"):
+            CoincidenceMatrix(("z", label), values)
+        with pytest.raises(DomainError, match=f"^language label {re.escape(repr(label))} cannot"):
+            CognacyTable(("z", label), ("s0",), [[0], [0]], [[0], [0]])
+
+    @pytest.mark.parametrize("label", ["x\ty", "a\nb", " s0", "s0 ", ""])
+    def test_slot_label_rejected(self, label):
+        with pytest.raises(DomainError, match=f"^slot label {re.escape(repr(label))} cannot"):
+            CognacyTable(("x", "y"), ("s", label), [[0, 0], [0, 0]], np.zeros((2, 2), bool))
+
+    def test_inner_spaces_and_slot_commas_allowed(self):
+        # a slot name is written to cognacy files only, whose separator is the tab
+        table = CognacyTable(("Old Norse", "y"), ("s,0",), [[0], [0]], [[0], [0]])
+        assert table.languages == ("Old Norse", "y") and table.slots == ("s,0",)
 
 
 class TestBorrowingAdjustment:

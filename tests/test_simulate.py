@@ -196,6 +196,15 @@ class TestSimulateCognacy:
             with pytest.raises(DomainError, match=rf"^pair \({a}, {b}\) shares no cognate"):
                 _coincidence_from_classes(languages, classes)
 
+    @pytest.mark.parametrize("k,dtype", [(86, np.uint8), (87, np.uint16)])
+    def test_table_keeps_the_tag_dtype(self, k, dtype):
+        # the table holds the simulator's tag matrix, not a widened copy
+        cfg = SimulationConfig(tree=random_tree(k, k, True), slots=300, seed=100 + k)
+        table = simulate_cognacy(cfg)
+        assert table.class_ids.dtype == dtype
+        assert table.class_ids.nbytes == k * cfg.slots * np.dtype(dtype).itemsize
+        assert np.array_equal(table.class_ids, _replicate_classes(cfg, 0)[1])
+
     def test_partition_pinned_over_several_blocks(self):
         # 120 leaves under a root link step 356 segments (uint16 tags) over
         # two blocks of slots; pinned on the int64 fresh ids

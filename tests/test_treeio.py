@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from isolect import (
+    CognacyTable,
     InputFormatError,
     IsolectError,
     build_dendrogram,
@@ -21,6 +22,7 @@ from isolect.treeio import (
     parenthesized,
     parse_cognacy_table,
     parse_coincidence_matrix,
+    read_cognacy_table,
     read_coincidence_matrix,
     save_dendrogram,
     write_cognacy_table,
@@ -150,6 +152,38 @@ class TestCognacyFormat:
         after = coincidence_from_cognacy(again)
         for a, b, v in before.pairs():
             assert after.value(a, b) == pytest.approx(v, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    @pytest.mark.parametrize("with_flags", [False, True], ids=["no-flags", "flags"])
+    def test_random_tables_round_trip(self, dtype, with_flags, tmp_path):
+        rng = np.random.default_rng(2200 + np.dtype(dtype).itemsize)
+        path = tmp_path / "cognacy.tsv"
+        for trial in range(5):
+            k, n = rng.integers(1, 8), rng.integers(1, 60)
+            ids = rng.integers(0, np.iinfo(dtype).max, size=(k, n), endpoint=True).astype(dtype)
+            ids[:, rng.random(n) < 0.5] = 7  # some slots shared by every language
+            flags = rng.random((k, n)) < 0.2 if with_flags else np.zeros((k, n), bool)
+            table = CognacyTable(
+                tuple(f"lang {i}" for i in range(k)), tuple(f"s{j},{trial}" for j in range(n)),
+                ids, flags,
+            )
+            write_cognacy_table(table, path)
+            again = read_cognacy_table(path)
+            assert again.languages == table.languages
+            assert again.slots == table.slots
+            assert np.array_equal(again.borrowed, table.borrowed)
+            # per slot, each language's canonical class: the first language sharing it
+            before, after = table.class_ids, again.class_ids
+            assert np.array_equal(
+                np.argmax(before[:, None, :] == before[None, :, :], axis=1),
+                np.argmax(after[:, None, :] == after[None, :, :], axis=1),
+            )
+
+    def test_unwritable_language_named_with_the_source(self):
+        text = "language\tslot\tclass\tborrowed\na,b\ts0\tw\t0\n"
+        with pytest.raises(InputFormatError) as raised:
+            parse_cognacy_table(text, source="t.tsv")
+        assert str(raised.value).startswith("t.tsv: language label 'a,b' cannot be written")
 
     def test_missing_header(self):
         with pytest.raises(InputFormatError, match="header"):
