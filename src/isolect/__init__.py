@@ -39,7 +39,6 @@ from .lexstat import (
     BorrowingAdjustment,
     CognacyTable,
     CoincidenceMatrix,
-    DistanceMatrix,
     adjust_coincidence_for_borrowings,
     adjust_matrix_for_borrowings,
     coincidence_from_cognacy,
@@ -75,7 +74,6 @@ __all__ = [
     "CurveSample",
     "DecayParams",
     "Dendrogram",
-    "DistanceMatrix",
     "DomainError",
     "FitReport",
     "InputFormatError",

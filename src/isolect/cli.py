@@ -75,9 +75,8 @@ def _write(out_dir, outputs) -> None:
 
 
 def _distance_table(m: CoincidenceMatrix) -> str:
-    dm = distance_matrix(m)
     lines = ["language_a\tlanguage_b\tcoincidence\tdistance"]
-    distances = dm.values[np.triu_indices(m.k, 1)].tolist()
+    distances = distance_matrix(m)[np.triu_indices(m.k, 1)].tolist()
     for (a, b, value), l in zip(m.pairs(), distances):
         lines.append(f"{a}\t{b}\t{value:.3f}\t{l:.3f}")
     return "\n".join(lines) + "\n"
@@ -255,8 +254,6 @@ def cmd_compare_borrowings(args) -> list:
     tree_excl, excluded = _build_variant(args, m_excl, "excluded")
     outputs += excluded
 
-    dm_all = distance_matrix(m_all)
-    dm_excl = distance_matrix(m_excl)
     lines = []
     lines.append(f"list size with borrowings: {m_all.list_size}")
     lines.append(f"borrowed slots excluded: {n3}")
@@ -268,7 +265,7 @@ def cmd_compare_borrowings(args) -> list:
     )
     lines.append("")
     lines.append("pairwise distance change (excluded - included):")
-    deltas = (dm_excl.values - dm_all.values)[np.triu_indices(m_all.k, 1)]
+    deltas = (distance_matrix(m_excl) - distance_matrix(m_all))[np.triu_indices(m_all.k, 1)]
     lines += [f"  {a}\t{b}\t{delta:.3f}" for (a, b, _), delta in zip(m_all.pairs(), deltas)]
     lines.append(
         f"  mean {np.mean(deltas):.3f}, min {np.min(deltas):.3f}, "

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, IsolectError
-from .lexstat import CoincidenceMatrix, _distance_values, coincidence_from_distance
+from .lexstat import CoincidenceMatrix, coincidence_from_distance, distance_matrix
 
 __all__ = [
     "ChainNode",
@@ -462,7 +462,7 @@ def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:
     pairs = measured._pairs
     rows, cols = np.triu_indices(measured.k, 1)
     c_meas = measured.values[rows, cols]
-    l_meas = _distance_values(measured)[rows, cols]
+    l_meas = distance_matrix(measured)[rows, cols]
     l_theo = _paths(d)[1][at[rows], at[cols]]
     # the scalar formula of coincidence_from_distance, without its domain
     # check (tree paths are finite and nonnegative): np.exp differs from it

@@ -19,7 +19,6 @@ __all__ = [
     "BorrowingAdjustment",
     "CognacyTable",
     "CoincidenceMatrix",
-    "DistanceMatrix",
     "adjust_coincidence_for_borrowings",
     "adjust_matrix_for_borrowings",
     "coincidence_from_cognacy",
@@ -51,6 +50,12 @@ def _check_labels(labels) -> tuple:
     if not labels:
         raise DomainError("at least one language label required")
     _check_writable(labels, "language", ",\t")
+    if min("".join(labels)) < " ":
+        bad = next(x for x in labels if min(x) < " ")
+        raise DomainError(
+            f"language label {bad!r} holds a control character (U+0000-U+001F), "
+            "which an SVG drawing cannot carry"
+        )
     return labels
 
 
@@ -85,16 +90,8 @@ def _check_writable(labels: tuple, what: str, separators: str) -> None:
         )
 
 
-# Per matrix kind: the test an off-diagonal entry must pass besides being
-# finite, and the rule named when it fails.
-_DOMAINS = {
-    "coincidence": (lambda a: (a > 0.0) & (a <= 100.0), "must lie on (0, 100]"),
-    "distance": (lambda a: a >= 0.0, "must be finite and >= 0"),
-}
-
-
-def _symmetric_array(labels, values, kind: str) -> np.ndarray:
-    """Validated read-only copy of a symmetric matrix, diagonal set to NaN.
+def _symmetric_array(labels, values) -> np.ndarray:
+    """Validated read-only copy of a coincidence matrix, diagonal set to NaN.
 
     The error names the first bad pair in row-major upper-triangle order;
     asymmetry is reported before a domain violation on the same pair.
@@ -102,28 +99,51 @@ def _symmetric_array(labels, values, kind: str) -> np.ndarray:
     k = len(labels)
     arr = np.array(values, dtype=float)
     if arr.shape != (k, k):
-        raise DomainError(f"{kind} matrix must be {k}x{k}, got shape {arr.shape}")
-    in_domain, rule = _DOMAINS[kind]
+        raise DomainError(f"coincidence matrix must be {k}x{k}, got shape {arr.shape}")
     asymmetric = ~np.isclose(arr, arr.T, rtol=0.0, atol=1e-9)
     with np.errstate(invalid="ignore"):
-        invalid = ~(np.isfinite(arr) & in_domain(arr))
+        invalid = ~(np.isfinite(arr) & (arr > 0.0) & (arr <= 100.0))
     bad = np.argwhere(np.triu(asymmetric | invalid, 1))
     if bad.size:
         i, j = bad[0]
         a, b = labels[i], labels[j]
         if asymmetric[i, j]:
             raise DomainError(
-                f"asymmetric {kind} for pair ({a}, {b}): "
+                f"asymmetric coincidence for pair ({a}, {b}): "
                 f"{float(arr[i, j])!r} vs {float(arr[j, i])!r}"
             )
-        raise DomainError(f"{kind} for pair ({a}, {b}) {rule}, got {float(arr[i, j])!r}")
+        raise DomainError(
+            f"coincidence for pair ({a}, {b}) must lie on (0, 100], got {float(arr[i, j])!r}"
+        )
     np.fill_diagonal(arr, np.nan)
     arr.setflags(write=False)
     return arr
 
 
-class _LabelledMatrix:
-    """Label lookup shared by the symmetric matrix types (``labels``, ``values``)."""
+@dataclass(frozen=True, eq=False)
+class CoincidenceMatrix:
+    """Symmetric matrix of basic-list coincidence percentages.
+
+    The diagonal is meaningless and stored as NaN; ``list_size`` is the
+    number of basic-list slots behind the percentages. Equality and hash are
+    identity (``eq=False``), since ``==`` on the array field would raise.
+    """
+
+    labels: tuple
+    values: np.ndarray
+    list_size: int = 100
+    # the swadesh distances, filled in by the first ``distance_matrix(self)``
+    _distances: np.ndarray = field(default=None, init=False, repr=False)
+    # the label pairs in row-major i < j order, filled in by the first ``fit_report``
+    _pairs: tuple = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        labels = _check_labels(self.labels)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", _symmetric_array(labels, self.values))
+        if int(self.list_size) <= 0:
+            raise DomainError(f"list_size must be positive, got {self.list_size!r}")
+        object.__setattr__(self, "list_size", int(self.list_size))
 
     @property
     def k(self) -> int:
@@ -145,61 +165,19 @@ class _LabelledMatrix:
                 yield self.labels[i], self.labels[j], float(self.values[i, j])
 
 
-@dataclass(frozen=True, eq=False)
-class CoincidenceMatrix(_LabelledMatrix):
-    """Symmetric matrix of basic-list coincidence percentages.
+def distance_matrix(m: CoincidenceMatrix) -> np.ndarray:
+    """The k x k swadesh distances of ``m``'s coincidences, in ``m.labels`` order.
 
-    The diagonal is meaningless and stored as NaN; ``list_size`` is the
-    number of basic-list slots behind the percentages. Equality and hash are
-    identity (``eq=False``), since ``==`` on the array field would raise.
-    """
-
-    labels: tuple
-    values: np.ndarray
-    list_size: int = 100
-    # the swadesh distances, filled in by the first ``_distance_values(self)``
-    _distances: np.ndarray = field(default=None, init=False, repr=False)
-    # the label pairs in row-major i < j order, filled in by the first ``fit_report``
-    _pairs: tuple = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        labels = _check_labels(self.labels)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(
-            self, "values", _symmetric_array(labels, self.values, "coincidence")
-        )
-        if int(self.list_size) <= 0:
-            raise DomainError(f"list_size must be positive, got {self.list_size!r}")
-        object.__setattr__(self, "list_size", int(self.list_size))
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix(_LabelledMatrix):
-    """Symmetric matrix of pairwise swadesh distances (diagonal NaN).
-
-    Equality and hash are identity (``eq=False``), as on ``CoincidenceMatrix``.
-    """
-
-    labels: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        labels = _check_labels(self.labels)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(
-            self, "values", _symmetric_array(labels, self.values, "distance")
-        )
-
-
-def _distance_values(m: CoincidenceMatrix) -> np.ndarray:
-    """The k x k swadesh distances of ``m``'s coincidences, zero on the diagonal.
-
-    Computed once per matrix and kept on it, read-only like the ``values``
-    it comes from. Every entry comes from the scalar formula of
-    ``distance_from_coincidence`` (``np.log`` differs from ``math.log`` in
-    the last bit on some inputs), applied once per distinct coincidence: a
-    list of n words gives at most n distinct percentages. The entries need
-    no domain check: a ``CoincidenceMatrix`` is validated when it is built.
+    The diagonal is zero, unlike the NaN diagonal of ``m.values``: it is
+    each language's distance to itself. Computed once per matrix and kept
+    on it, so every call returns the same array, read-only like the
+    ``values`` it comes from; look a pair up as
+    ``distance_matrix(m)[m.index(a), m.index(b)]``. Every entry comes from
+    the scalar formula of ``distance_from_coincidence`` (``np.log`` differs
+    from ``math.log`` in the last bit on some inputs), applied once per
+    distinct coincidence: a list of n words gives at most n distinct
+    percentages. The entries need no domain check: a ``CoincidenceMatrix``
+    is validated when it is built.
     """
     out = m._distances
     if out is None:
@@ -212,11 +190,6 @@ def _distance_values(m: CoincidenceMatrix) -> np.ndarray:
         out.setflags(write=False)
         object.__setattr__(m, "_distances", out)
     return out
-
-
-def distance_matrix(m: CoincidenceMatrix) -> DistanceMatrix:
-    """Convert every off-diagonal coincidence entry to a swadesh distance."""
-    return DistanceMatrix(m.labels, _distance_values(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,6 +226,9 @@ class CognacyTable:
         if ids.dtype.kind == "i" and ids.size and ids.min() < 0:
             i, j = np.argwhere(ids < 0)[0]
             raise DomainError(f"negative class id for language {languages[i]!r}, slot {slots[j]!r}")
+        # read-only views: the caller's arrays are shared, not copied, and stay writable
+        ids = ids.view()
+        flags = flags.view()
         ids.setflags(write=False)
         flags.setflags(write=False)
         object.__setattr__(self, "languages", languages)

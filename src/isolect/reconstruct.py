@@ -54,7 +54,7 @@ from .dendrogram import (
     root_variants,
 )
 from .errors import DomainError
-from .lexstat import CoincidenceMatrix, _distance_values
+from .lexstat import CoincidenceMatrix, distance_matrix
 
 __all__ = [
     "JoinStep",
@@ -199,7 +199,7 @@ def build_dendrogram(m: CoincidenceMatrix) -> tuple:
     # the diagonal and on retired slots) breaks ties by key
     by_key = sorted(range(k), key=labels.__getitem__)
     # C order: [by_key][:, by_key] is F-ordered, and argmin runs 3-9x slower on it
-    dist = np.ascontiguousarray(_distance_values(m)[np.ix_(by_key, by_key)])
+    dist = np.ascontiguousarray(distance_matrix(m)[np.ix_(by_key, by_key)])
     np.fill_diagonal(dist, np.inf)
     uid = [labels[i] for i in by_key]
     nodes = [Leaf(label) for label in uid]
@@ -495,7 +495,7 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     if x0.size == 0:
         return d
     measured_paths = np.empty_like(paths0)  # in leaves() order, like the tree paths
-    measured_paths[np.ix_(at, at)] = _distance_values(measured)
+    measured_paths[np.ix_(at, at)] = distance_matrix(measured)
 
     normal, rhs, index, held = _normal_equations(d, measured_paths)
     # R^-T, the inverse of the Cholesky factor of the normal matrix, for c, the dual and y

@@ -12,6 +12,10 @@ language has one row for every slot.
 A matrix or table whose labels these files could not read back (see
 ``lexstat._check_writable``) is rejected when it is built.
 
+Every input file (matrix, cognacy table, tree description, simulation
+config) is read as UTF-8 text; a file that is not is an input error that
+names it.
+
 Tree descriptions: a nested JSON document that round-trips exactly, plus a
 one-line annotated parenthesized rendering for humans (chain widths have no
 standard slot in parenthesized tree text, so they ride in bracket
@@ -118,9 +122,17 @@ def _cell_error(source: str, lineno: int, i: int, cells: list) -> InputFormatErr
             return InputFormatError(f"{where}: not a number: {cell!r}")
 
 
+def _read_text(path: Path) -> str:
+    """The text of the file at ``path``; a file that is not UTF-8 is an input error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def read_coincidence_matrix(path) -> CoincidenceMatrix:
     path = Path(path)
-    return parse_coincidence_matrix(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_coincidence_matrix(_read_text(path), source=str(path))
 
 
 def write_coincidence_matrix(m: CoincidenceMatrix, path) -> None:
@@ -134,11 +146,9 @@ def write_coincidence_matrix(m: CoincidenceMatrix, path) -> None:
 
 
 def parse_cognacy_table(text: str, source: str = "<string>") -> CognacyTable:
-    lines = [l for l in text.splitlines()]
     header_seen = False
     rows = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
@@ -176,7 +186,7 @@ def parse_cognacy_table(text: str, source: str = "<string>") -> CognacyTable:
 
 def read_cognacy_table(path) -> CognacyTable:
     path = Path(path)
-    return parse_cognacy_table(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_cognacy_table(_read_text(path), source=str(path))
 
 
 def write_cognacy_table(table: CognacyTable, path) -> None:
@@ -282,7 +292,7 @@ def save_dendrogram(d: Dendrogram, path) -> None:
 
 def _read_json(path: Path):
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:  # the stdlib decoder recurses once per nesting level

@@ -75,7 +75,47 @@ class TestDistances:
         )
 
 
+class TestNotUtf8Input:
+    """A file that is not UTF-8 exits 2 naming the file, and nothing is written."""
+
+    @pytest.mark.parametrize("command", ["distances", "compare-borrowings", "render", "simulate"])
+    def test_exits_2_naming_file(self, tmp_path, capsys, fig4_tree, command):
+        tree = json.dumps(dendrogram_to_dict(fig4_tree)).encode()
+        data = {
+            "distances": b"p\xe9,q\np\xe9,-,70\nq,70,-\n",
+            "compare-borrowings": b"language\tslot\tclass\tborrowed\np\xe9\ts0\tc0\t0\n",
+            "render": tree.replace(b'"label": "1"', b'"label": "1\xe9"'),
+            "simulate": tree.replace(b'"label": "1"', b'"label": "1\xe9"'),
+        }[command]
+        bad = tmp_path / "bad_input"
+        bad.write_bytes(data)
+        source, named = bad, bad
+        if command == "simulate":
+            source = tmp_path / "cfg.json"
+            source.write_text(json.dumps({"tree": bad.name, "slots": 10, "seed": 1}))
+            named = bad.resolve()
+        out = tmp_path / "out"
+        assert run(command, "--input", source, "--out-dir", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {named}: not UTF-8 text (byte {data.index(0xE9)})\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestBuild:
+    def test_control_character_label_exits_2(self, tmp_path, capsys):
+        # XML 1.0 cannot carry the character, so tree.svg would not parse
+        src = tmp_path / "m.csv"
+        src.write_text("a\x01,b,c\na\x01,-,70,60\nb,70,-,65\nc,60,65,-\n")
+        out = tmp_path / "out"
+        assert run("build", "--svg", "--input", src, "--out-dir", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {src}: language label 'a\\x01' holds a control character"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_table1_artifacts(self, data_dir, tmp_path):
         code = run("build", "--input", data_dir / "table1.csv", "--out-dir", tmp_path, "--svg")
         assert code == 0

@@ -9,7 +9,6 @@ from isolect import (
     BorrowingAdjustment,
     CognacyTable,
     CoincidenceMatrix,
-    DistanceMatrix,
     DomainError,
     InputFormatError,
     adjust_coincidence_for_borrowings,
@@ -19,7 +18,6 @@ from isolect import (
     distance_from_coincidence,
     distance_matrix,
 )
-from isolect.lexstat import _distance_values
 
 # frozen high-precision evaluations of 100*ln(100/C)
 L_79 = 23.572233352106983
@@ -65,14 +63,14 @@ class TestScalarConversions:
 class TestCoincidenceMatrix:
     def test_two_by_two_full_coincidence(self):
         m = CoincidenceMatrix(("a", "b"), [[np.nan, 100.0], [100.0, np.nan]])
-        dm = distance_matrix(m)
-        assert dm.value("a", "b") == 0.0
+        assert distance_matrix(m)[m.index("a"), m.index("b")] == 0.0
 
     def test_table1_entries(self, table1):
         dm = distance_matrix(table1)
-        assert dm.value("kalderash", "hindi") == pytest.approx(63.488, abs=5e-4)
-        assert dm.value("hindi", "panjabi") == pytest.approx(23.572, abs=5e-4)
-        assert sum(1 for _ in dm.pairs()) == 15
+        at = table1.index
+        assert dm[at("kalderash"), at("hindi")] == pytest.approx(63.488, abs=5e-4)
+        assert dm[at("hindi"), at("panjabi")] == pytest.approx(23.572, abs=5e-4)
+        assert dm[np.triu_indices(table1.k, 1)].size == 15
 
     def test_distances_match_scalar_conversion_bitwise(self):
         rng = np.random.default_rng(3)
@@ -81,11 +79,12 @@ class TestCoincidenceMatrix:
         m = CoincidenceMatrix([f"L{i}" for i in range(k)], upper + upper.T)
         dm = distance_matrix(m)
         for a, b, c in m.pairs():
-            assert dm.value(a, b) == dm.value(b, a) == distance_from_coincidence(c)
+            i, j = m.index(a), m.index(b)
+            assert dm[i, j] == dm[j, i] == distance_from_coincidence(c)
 
     def test_distances_converted_once_and_read_only(self, table1):
-        first = _distance_values(table1)
-        assert _distance_values(table1) is first
+        first = distance_matrix(table1)
+        assert distance_matrix(table1) is first
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0, 1] = 5.0
@@ -104,7 +103,15 @@ class TestCoincidenceMatrix:
         expected = np.zeros((k, k))
         for i, j in zip(*np.nonzero(~np.eye(k, dtype=bool))):
             expected[i, j] = distance_from_coincidence(float(m.values[i, j]))
-        assert _distance_values(m).tobytes() == expected.tobytes()
+        assert distance_matrix(m).tobytes() == expected.tobytes()
+
+    def test_distance_matrix_is_one_read_only_array_with_zero_diagonal(self, table1):
+        dm = distance_matrix(table1)
+        assert isinstance(dm, np.ndarray) and dm.shape == (table1.k, table1.k)
+        assert distance_matrix(table1) is dm
+        assert not dm.flags.writeable
+        assert (np.diag(dm) == 0.0).all()
+        assert np.isnan(np.diag(table1.values)).all()
 
     def test_symmetry_required(self):
         with pytest.raises(DomainError, match="asymmetric"):
@@ -122,9 +129,7 @@ class TestCoincidenceMatrix:
         with pytest.raises(ValueError):
             table1.values[0, 1] = 5.0
 
-    @pytest.mark.parametrize(
-        "convert", [lambda m: m, distance_matrix], ids=["coincidence", "distance"]
-    )
+    @pytest.mark.parametrize("convert", [lambda m: m], ids=["coincidence"])
     def test_unknown_label_names_it(self, table1, convert):
         with pytest.raises(DomainError, match="unknown language 'zz'"):
             convert(table1).value("zz", "hindi")
@@ -145,9 +150,8 @@ F = float  # messages show entries as plain floats: 150.0, nan, inf
 
 @pytest.mark.parametrize("make", [
     lambda: CoincidenceMatrix(("a", "b"), [[np.nan, 80.0], [80.0, np.nan]]),
-    lambda: DistanceMatrix(("a", "b"), [[np.nan, 22.0], [22.0, np.nan]]),
     lambda: CognacyTable(("a", "b"), ("s0", "s1"), [[1, 2], [1, 3]], np.zeros((2, 2), bool)),
-], ids=["coincidence", "distance", "cognacy"])
+], ids=["coincidence", "cognacy"])
 def test_array_holders_compare_and_hash_by_identity(make):
     # a value comparison would have to reduce ``==`` over the array fields,
     # which raises; equal values are different objects
@@ -185,25 +189,6 @@ class TestMatrixErrors:
     def test_coincidence(self, entries, message):
         with pytest.raises(DomainError) as info:
             CoincidenceMatrix(LABELS, _with_entries(50.0, entries))
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize(
-        "entries,message",
-        [
-            ({(0, 2): 30.0, (2, 3): -1.0, (3, 2): -1.0},
-             f"asymmetric distance for pair (a, c): {F(30.0)!r} vs {F(20.0)!r}"),
-            ({(1, 3): np.inf, (3, 1): np.inf, (2, 3): -1.0, (3, 2): -1.0},
-             f"distance for pair (b, d) must be finite and >= 0, got {F(np.inf)!r}"),
-            ({(0, 1): -2.0, (1, 0): -3.0, (0, 2): -1.0, (2, 0): -1.0},
-             f"asymmetric distance for pair (a, b): {F(-2.0)!r} vs {F(-3.0)!r}"),
-            # differences within 1e-9 are symmetric; the domain fault is named
-            ({(0, 1): -1e-10, (1, 0): 0.0, (2, 3): -1.0, (3, 2): -1.0},
-             f"distance for pair (a, b) must be finite and >= 0, got {F(-1e-10)!r}"),
-        ],
-    )
-    def test_distance(self, entries, message):
-        with pytest.raises(DomainError) as info:
-            DistanceMatrix(LABELS, _with_entries(20.0, entries))
         assert str(info.value) == message
 
     def test_diagonal_ignored(self):
@@ -320,6 +305,16 @@ class TestCognacyCounting:
         assert table.class_ids.dtype == dtype
         assert coincidence_from_cognacy(table).value("x", "y") == 50.0
 
+    def test_caller_arrays_stay_writable(self):
+        # the table holds read-only views of the caller's arrays, not copies
+        ids = np.zeros((2, 1), dtype=np.uint8)
+        flags = np.zeros((2, 1), dtype=bool)
+        table = CognacyTable(("x", "y"), ("s0",), ids, flags)
+        ids[0, 0] = 1
+        flags[0, 0] = True
+        assert not table.class_ids.flags.writeable and not table.borrowed.flags.writeable
+        assert np.shares_memory(table.class_ids, ids) and np.shares_memory(table.borrowed, flags)
+
     def test_other_ids_become_int64(self):
         table = CognacyTable(("x", "y"), ("s0",), [[1.0], [2.0]], [[0], [0]])
         assert table.class_ids.dtype == np.int64
@@ -360,6 +355,16 @@ class TestUnwritableLabels:
     def test_slot_label_rejected(self, label):
         with pytest.raises(DomainError, match=f"^slot label {re.escape(repr(label))} cannot"):
             CognacyTable(("x", "y"), ("s", label), [[0, 0], [0, 0]], np.zeros((2, 2), bool))
+
+    @pytest.mark.parametrize("label", ["a\x01", "a\x00b", "\x07x", "a\x1fb"])
+    def test_control_character_in_language_label_rejected(self, label):
+        # XML 1.0 cannot carry U+0000-U+001F, so an SVG drawing would be invalid
+        values = [[np.nan, 50.0], [50.0, np.nan]]
+        message = f"^language label {re.escape(repr(label))} holds a control character"
+        with pytest.raises(DomainError, match=message):
+            CoincidenceMatrix(("z", label), values)
+        with pytest.raises(DomainError, match=message):
+            CognacyTable(("z", label), ("s0",), [[0], [0]], [[0], [0]])
 
     def test_inner_spaces_and_slot_commas_allowed(self):
         # a slot name is written to cognacy files only, whose separator is the tab
@@ -413,8 +418,8 @@ class TestBorrowingAdjustment:
             adjusted = adjust_matrix_for_borrowings(m, adj)
             dm = distance_matrix(m)
             dm_adj = distance_matrix(adjusted)
-            for a, b, l in dm.pairs():
-                assert dm_adj.value(a, b) == pytest.approx(l - adj.shift, abs=1e-9)
+            for i, j in zip(*np.triu_indices(k, 1)):
+                assert dm_adj[i, j] == pytest.approx(dm[i, j] - adj.shift, abs=1e-9)
 
     def test_list_size_must_match(self):
         m = CoincidenceMatrix(("a", "b"), [[np.nan, 50.0], [50.0, np.nan]], list_size=94)
