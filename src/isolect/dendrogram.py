@@ -315,22 +315,24 @@ def _leaf_positions(d: Dendrogram, labels) -> np.ndarray:
 
 def _with_lengths(d: Dendrogram, values) -> Dendrogram:
     """``d`` with its free lengths replaced by ``values``, laid out as in ``_paths``."""
-    chains = d.chain_nodes()
+    chains, values = d.chain_nodes(), np.asarray(values, dtype=float).tolist()
     built = {}  # id of each old chain: the new one
     for i in reversed(range(len(chains))):  # children first
         node = chains[i]
-        built[id(node)] = replace(
-            node,
-            left_edge=values[3 * i],
-            right_edge=values[3 * i + 1],
-            width=values[3 * i + 2],
-            left=built.get(id(node.left), node.left),
-            right=built.get(id(node.right), node.right),
+        built[id(node)] = ChainNode(
+            node.id,
+            values[3 * i + 2],
+            built.get(id(node.left), node.left),
+            built.get(id(node.right), node.right),
+            values[3 * i],
+            values[3 * i + 1],
+            node.attach_side,
         )
     root = d.root
     if isinstance(root, RootLink):
         left, right = built.get(id(root.left), root.left), built.get(id(root.right), root.right)
-        return Dendrogram(replace(root, left=left, right=right, length=values[3 * len(chains)]))
+        length = values[3 * len(chains)]
+        return Dendrogram(RootLink(length, left, right, root.variant, root.fraction))
     return Dendrogram(built.get(id(root), root))
 
 
@@ -431,14 +433,16 @@ def root_variants(d: Dendrogram) -> tuple:
 class FitReport:
     """Measured vs tree-implied values for every language pair, with summaries.
 
-    ``pairs`` holds the ``(label_a, label_b)`` tuples in row-major ``i < j``
-    order of the measured matrix; each of the six per-pair fields is a float
-    array aligned with it. Residuals are theoretical minus measured, in
+    ``measured`` is the coincidence matrix the tree was compared against.
+    The six per-pair fields are float arrays over its pairs in row-major
+    ``i < j`` order; ``pairs`` gives the ``(label_a, label_b)`` tuples in that
+    order, built on first access and kept on the matrix, so that reports on
+    one matrix share them. Residuals are theoretical minus measured, in
     swadesh units and in coincidence percent. Equality is identity
     (``eq=False``), since ``==`` on the array fields would raise.
     """
 
-    pairs: tuple
+    measured: CoincidenceMatrix
     measured_distance: np.ndarray
     theoretical_distance: np.ndarray
     residual_distance: np.ndarray
@@ -450,6 +454,13 @@ class FitReport:
     rms_coincidence: float
     max_abs_coincidence: float
 
+    @property
+    def pairs(self) -> tuple:
+        m = self.measured
+        if m._pairs is None:  # built once per matrix
+            object.__setattr__(m, "_pairs", tuple(itertools.combinations(m.labels, 2)))
+        return m._pairs
+
 
 def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:
     """Compare tree-implied distances and coincidences against measured ones.
@@ -457,9 +468,6 @@ def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:
     Residuals are theoretical minus measured; RMS is taken over all pairs.
     """
     at = _leaf_positions(d, measured.labels)
-    if measured._pairs is None:  # built once per matrix
-        object.__setattr__(measured, "_pairs", tuple(itertools.combinations(measured.labels, 2)))
-    pairs = measured._pairs
     rows, cols = np.triu_indices(measured.k, 1)
     c_meas = measured.values[rows, cols]
     l_meas = distance_matrix(measured)[rows, cols]
@@ -470,7 +478,7 @@ def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:
     c_theo = 100.0 * np.fromiter(map(math.exp, (-l_theo / 100.0).tolist()), float, l_theo.size)
     res_l = l_theo - l_meas
     res_c = c_theo - c_meas
-    if pairs:
+    if rows.size:
         rms_l = float(np.sqrt(np.mean(res_l**2)))
         rms_c = float(np.sqrt(np.mean(res_c**2)))
         max_l = float(np.max(np.abs(res_l)))
@@ -478,5 +486,5 @@ def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:
     else:
         rms_l = rms_c = max_l = max_c = 0.0
     return FitReport(
-        pairs, l_meas, l_theo, res_l, c_meas, c_theo, res_c, rms_l, max_l, rms_c, max_c
+        measured, l_meas, l_theo, res_l, c_meas, c_theo, res_c, rms_l, max_l, rms_c, max_c
     )

@@ -134,7 +134,7 @@ class CoincidenceMatrix:
     list_size: int = 100
     # the swadesh distances, filled in by the first ``distance_matrix(self)``
     _distances: np.ndarray = field(default=None, init=False, repr=False)
-    # the label pairs in row-major i < j order, filled in by the first ``fit_report``
+    # the label pairs in row-major i < j order, filled in by the first ``FitReport.pairs``
     _pairs: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dendrogram import ChainNode, Dendrogram, Leaf, RootLink
 from .errors import DomainError, InputFormatError, IsolectError
-from .lexstat import CognacyTable, CoincidenceMatrix
+from .lexstat import CognacyTable, CoincidenceMatrix, _check_labels
 from .simulate import SimulationConfig
 
 __all__ = [
@@ -67,12 +67,11 @@ def parse_coincidence_matrix(text: str, source: str = "<string>") -> Coincidence
                         f"{source}, line {lineno}: bad list_size directive {line!r}"
                     ) from None
             continue
-        fields = [f.strip() for f in line.split(",")]
         if header is None:
-            header = fields
+            header = [label.strip() for label in line.split(",")]
             header_line = lineno
             continue
-        rows.append((lineno, fields))
+        rows.append((lineno, line.split(",")))
     if header is None:
         raise InputFormatError(f"{source}: no label header found")
     k = len(header)
@@ -81,26 +80,29 @@ def parse_coincidence_matrix(text: str, source: str = "<string>") -> Coincidence
             f"{source}: expected {k} value rows after the header "
             f"(line {header_line}), found {len(rows)}"
         )
-    values = np.full((k, k), np.nan)
+    values = np.empty((k, k))
     for i, (lineno, fields) in enumerate(rows):
         if len(fields) != k + 1:
             raise InputFormatError(
                 f"{source}, line {lineno}: expected label plus {k} values, "
                 f"got {len(fields)} fields"
             )
-        if fields[0] != header[i]:
+        label = fields[0].strip()
+        if label != header[i]:
             raise InputFormatError(
-                f"{source}, line {lineno}: row label {fields[0]!r} does not match "
+                f"{source}, line {lineno}: row label {label!r} does not match "
                 f"header label {header[i]!r} (rows must follow header order)"
             )
+        # float() ignores the whitespace around a number, so only the label
+        # and the diagonal are stripped; the diagonal reads as NaN
         cells = fields[1:]
         try:
-            if cells[i] != "-":
+            if cells[i].strip() != "-":
                 raise ValueError
-            values[i, :i] = [float(cell) for cell in cells[:i]]
-            values[i, i + 1 :] = [float(cell) for cell in cells[i + 1 :]]
+            cells[i] = "nan"
+            values[i] = list(map(float, cells))
         except ValueError:
-            raise _cell_error(source, lineno, i, cells) from None
+            raise _cell_error(source, lineno, i, [cell.strip() for cell in fields[1:]]) from None
     kwargs = {"list_size": list_size} if list_size is not None else {}
     try:
         return CoincidenceMatrix(tuple(header), values, **kwargs)
@@ -123,9 +125,13 @@ def _cell_error(source: str, lineno: int, i: int, cells: list) -> InputFormatErr
 
 
 def _read_text(path: Path) -> str:
-    """The text of the file at ``path``; a file that is not UTF-8 is an input error."""
+    """The text of the file at ``path``; a file that is not UTF-8 is an input error.
+
+    A leading byte-order mark is dropped. The codec is plain UTF-8, not
+    ``utf-8-sig``, so that the error counts its byte from the start of the file.
+    """
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
@@ -300,7 +306,17 @@ def _read_json(path: Path):
 
 
 def load_dendrogram(path) -> Dendrogram:
-    return dendrogram_from_dict(_read_json(Path(path)), source=str(path))
+    """The tree document at ``path``.
+
+    A leaf label that a matrix file or a drawing could not carry
+    (``lexstat._check_labels``) is an input error.
+    """
+    tree = dendrogram_from_dict(_read_json(Path(path)), source=str(path))
+    try:
+        _check_labels(tree.leaves())
+    except DomainError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
+    return tree
 
 
 def parenthesized(d: Dendrogram) -> str:

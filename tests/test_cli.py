@@ -449,6 +449,9 @@ def malformed_tree_document(tree, case):
     if case == "duplicate-leaf-labels":
         doc["root"]["right"]["label"] = "1"
         return doc, "duplicate leaf labels in dendrogram: ['1']"
+    if case == "control-character-label":
+        doc["root"]["right"]["label"] = "a\u0001"
+        return doc, "language label 'a\\x01' holds a control character"
     if case == "duplicate-chain-ids":
         leaves = {"left": {"kind": "leaf", "label": "3"}, "right": {"kind": "leaf", "label": "4"}}
         doc["root"]["right"] = {**doc["root"]["left"], **leaves}
@@ -467,6 +470,7 @@ class TestMalformedTree:
             "negative-width",
             "duplicate-leaf-labels",
             "duplicate-chain-ids",
+            "control-character-label",
         ],
     )
     @pytest.mark.parametrize("command", ["render", "simulate"])
@@ -480,6 +484,7 @@ class TestMalformedTree:
         assert run(command, "--input", source, "--out-dir", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert "bad_tree.json" in err and expected in err
+        assert not (tmp_path / "out").exists()
 
     def test_inline_tree_fault_names_config(self, tmp_path, capsys, fig4_tree):
         doc, expected = malformed_tree_document(fig4_tree, "duplicate-chain-ids")

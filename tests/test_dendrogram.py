@@ -192,6 +192,16 @@ class TestFitReport:
         assert second.pairs is first.pairs
         assert "_pairs" not in repr(measured)
 
+    def test_pairs_built_only_when_read(self, fig4_tree):
+        # the pipeline reads only the arrays; the k(k-1)/2 tuples are made
+        # for a caller that reads them
+        measured = theoretical_matrix(fig4_tree)
+        report = fit_report(fig4_tree, measured)
+        assert measured._pairs is None
+        assert report.measured is measured
+        assert report.pairs == (("1", "2"), ("1", "3"), ("2", "3"))
+        assert measured._pairs is report.pairs
+
     def test_single_perturbed_pair(self, fig4_tree):
         dists = leaf_distances(fig4_tree)
         labels = ("1", "2", "3")

@@ -32,6 +32,7 @@ from isolect.dendrogram import (
     Dendrogram,
     Leaf,
     RootLink,
+    _leaf_positions,
     _paths,
     _with_lengths,
     attach_depth,
@@ -903,28 +904,80 @@ def nnls_problems():
         yield rng.normal(size=(30, 8)) @ rng.normal(size=(8, 20)), rng.normal(size=30)
 
 
+def full_dual(tree, m) -> tuple:
+    """The whole least-distance dual of the polish of ``tree``, one column per free length.
+
+    The reference that the working-set duals of ``redistribute_residuals``
+    are checked against. Returns ``(dual, target, inverse, c, index,
+    held)``, where ``inverse`` is the inverse Cholesky factor of the normal
+    matrix and ``c`` the reduced right-hand side.
+    """
+    measured_paths = np.empty((m.k, m.k))
+    at = _leaf_positions(tree, m.labels)
+    measured_paths[np.ix_(at, at)] = distance_matrix(m)
+    normal, rhs, index, held = _normal_equations(tree, measured_paths)
+    inverse = _lower_inverse(np.linalg.cholesky(normal))
+    c = inverse @ rhs
+    constraint_t = _map_rows(index, inverse.T).T
+    dual = np.vstack((constraint_t, -(c @ constraint_t + held)))
+    target = np.zeros(dual.shape[0])
+    target[-1] = 1.0
+    return dual, target, inverse, c, index, held
+
+
+def full_dual_polish(tree, m, solve) -> np.ndarray:
+    """The polished free lengths of ``tree``, from ``solve(E, f)`` on the whole dual."""
+    dual, target, inverse, c, (up, down), held = full_dual(tree, m)
+    residual = dual @ solve(dual, target) - target
+    y = np.maximum(inverse.T @ (residual[:-1] / (residual @ residual) + c), 0.0)
+    edges = np.flatnonzero(down >= 0)[::-1]
+    for parent, child in zip(edges // 3, down[edges]):
+        y[parent] = max(y[parent], y[child])
+    return _map_rows((up, down), y) + held
+
+
+def polish_problems():
+    """Greedy trees of noisy matrices at k = 20..200, with their matrices."""
+    rng = np.random.default_rng(31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for k in (20, 50, 100, 200):
+            m = noisy_matrix(rng, horizontal_tree(rng, k), 8.0)
+            yield build_dendrogram(m)[0], m
+
+
 @pytest.fixture(scope="module")
 def polish_duals():
-    """The least-distance duals that the polish hands to ``_nnls``, at k = 20..200.
+    """The whole least-distance duals of the polish, at k = 20..200.
 
     Their condition numbers run from 5e15 to 6e17.
+    """
+    duals = [full_dual(tree, m)[:2] for tree, m in polish_problems()]
+    assert len(duals) == 4
+    return duals
+
+
+@pytest.fixture(scope="module")
+def working_set_duals():
+    """The duals over working sets of lengths that the polish hands to ``_nnls``.
+
+    Their columns can be dependent, so their solutions need not be unique.
     """
     import isolect.reconstruct as reconstruct
 
     duals = []
 
-    def record(E, f):
-        duals.append((E, f))
-        return _nnls(E, f)
+    def record(E, f, start=()):
+        duals.append((E, f, start))
+        return _nnls(E, f, start)
 
-    rng = np.random.default_rng(31)
-    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reconstruct, "_nnls", record)
-        warnings.simplefilter("ignore")
-        for k in (20, 50, 100, 200):
-            m = noisy_matrix(rng, horizontal_tree(rng, k), 8.0)
-            redistribute_residuals(build_dendrogram(m)[0], m)
-    assert len(duals) == 4
+        for tree, m in polish_problems():
+            size = len(duals)
+            redistribute_residuals(tree, m)
+            assert len(duals) > size
+            assert all(E.shape[1] < full_dual(tree, m)[0].shape[1] for E, _, _ in duals[size:])
     return duals
 
 
@@ -992,6 +1045,30 @@ class TestNNLS:
         np.testing.assert_allclose(E @ u, E @ expected, rtol=0.0, atol=1e-10 * np.abs(f).max())
 
 
+    def test_working_set_duals_match_scipy_on_the_residual(self, working_set_duals):
+        # their columns can be dependent (rank 8 of 10 at k=20), so the
+        # solution is not unique, but its residual is, and the polish reads
+        # only the residual. The target has norm 1
+        optimize = pytest.importorskip("scipy.optimize")
+        for E, f, start in working_set_duals:
+            u, expected = _nnls(E, f, start), optimize.nnls(E, f)[0]
+            assert np.all(u >= 0.0)
+            np.testing.assert_allclose(E @ u - f, E @ expected - f, rtol=0.0, atol=1e-14)
+
+    def test_warm_start_gives_the_cold_residual(self, polish_duals, working_set_duals):
+        problems = [*nnls_problems(), *polish_duals, *((E, f) for E, f, _ in working_set_duals)]
+        for E, f in problems:
+            u = _nnls(E, f)
+            warm = _nnls(E, f, np.flatnonzero(u > 0.0))
+            assert np.all(warm >= 0.0)
+            np.testing.assert_allclose(E @ warm - f, E @ u - f, rtol=0.0, atol=1e-12)
+        # a start whose least-squares coefficients are not all positive is
+        # dropped for a cold start
+        rng = np.random.default_rng(9)
+        E, f = rng.normal(size=(30, 20)), rng.normal(size=30)
+        assert (np.linalg.lstsq(E, f, rcond=None)[0] < 0.0).any()
+        np.testing.assert_array_equal(_nnls(E, f, np.arange(20)), _nnls(E, f))
+
     def test_passive_set_beyond_initial_capacity(self):
         # the factor's storage starts at 32 columns and doubles when full:
         # here every one of the 90 columns ends up passive, so it grows to 64
@@ -1034,6 +1111,79 @@ def test_polish_does_not_depend_on_the_nnls_solver(k, sd, monkeypatch):
         warnings.simplefilter("ignore")
         greedy = build_dendrogram(m)[0]
     polished = _paths(redistribute_residuals(greedy, m))[0]
-    monkeypatch.setattr(reconstruct, "_nnls", lambda E, f: optimize.nnls(E, f)[0])
+    monkeypatch.setattr(reconstruct, "_nnls", lambda E, f, start=(): optimize.nnls(E, f)[0])
     expected = _paths(redistribute_residuals(greedy, m))[0]
     np.testing.assert_allclose(polished, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("link", [True, False])
+@pytest.mark.parametrize("sd", [2.0, 8.0])
+def test_polish_equals_the_full_dual(sd, link):
+    # the polish solves on a working set of lengths; the optimum it finds
+    # must be that of every constraint, here from the whole dual solved by
+    # scipy, to the polish's reproducibility (1e-12 of the longest length)
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng([int(sd), link])
+    for k in (20, 50, 100, 200):
+        m = noisy_matrix(rng, horizontal_tree(rng, k, link), sd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            greedy = build_dendrogram(m)[0]
+        polished = _paths(redistribute_residuals(greedy, m))[0]
+        expected = full_dual_polish(greedy, m, lambda E, f: optimize.nnls(E, f)[0])
+        np.testing.assert_allclose(polished, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+
+
+def dense_normal_equations(d, distances) -> tuple:
+    """``_normal_equations``'s normal matrix and right-hand side, counted by
+    products of the dense 0/1 leaf-set columns of the split matrix."""
+    S = _paths(d)[2]
+    chains = d.chain_nodes()
+    n, k, link = len(chains), len(S), isinstance(d.root, RootLink)
+    position = {id(node): i for i, node in enumerate(chains)}
+    F = S.astype(float)
+    left, right, widths = F[:, 0 : 3 * n : 3], F[:, 1 : 3 * n : 3], F[:, 2 : 3 * n : 3]
+    if link:
+        left = np.column_stack((left, F[:, -1]))
+        right = np.column_stack((right, 1.0 - F[:, -1]))
+    size_l, size_r = left.sum(axis=0), right.sum(axis=0)
+    a, b = left.T @ widths, right.T @ widths
+    across = a * (size_r[:, None] - b) + (size_l[:, None] - a) * b
+    both = widths.T @ widths
+    size = np.diag(both)
+    only_w, only_v = size[:, None] - both, size[None, :] - both
+    sums = np.column_stack((left, widths)).T @ distances
+    sums = (sums * np.column_stack((right, 1.0 - widths)).T).sum(axis=1)
+    normal = np.zeros((2 * n + link,) * 2)
+    normal[:n, :n] = np.diag(4.0 * size_l[:n] * size_r[:n])
+    normal[:n, n : 2 * n] = 2.0 * across[:n]
+    normal[n : 2 * n, n : 2 * n] = both * (k - only_w - only_v - both) + only_w * only_v
+    rhs = np.concatenate((2.0 * sums[:n], sums[n + link :], [0.0] * link))
+    if link:
+        top = [position[id(c)] for c in (d.root.left, d.root.right) if id(c) in position]
+        top.append(2 * n)
+        normal[np.ix_(top, top)] += size_l[n] * size_r[n]
+        normal[top, n : 2 * n] += across[n]
+        rhs[top] += sums[n]
+    normal[n : 2 * n, :n] = normal[:n, n : 2 * n].T
+    normal[n : 2 * n, 2 * n :] = normal[2 * n :, n : 2 * n].T
+    if not link:
+        rhs = np.delete(rhs - normal[:, n] * d.root.width, n)
+        normal = np.delete(np.delete(normal, n, axis=0), n, axis=1)
+    return normal, rhs
+
+
+@pytest.mark.parametrize("link", [True, False])
+def test_normal_equations_counted_from_spans(link):
+    # the counts come from overlaps of leaf runs; they are integers either
+    # way, so both the normal matrix and the right-hand side are bitwise
+    # those of the dense products. Without a root link a chain is the root
+    rng = np.random.default_rng(42 if link else 43)
+    trees = [random_tree(rng, k, link) for k in range(2, 31)]
+    trees += [horizontal_tree(rng, k, link) for k in (50, 100, 200)]
+    for tree in trees:
+        distances = distance_matrix(noisy_matrix(rng, tree, 4.0))  # in leaves() order
+        normal, rhs = _normal_equations(tree, distances)[:2]
+        expected_normal, expected_rhs = dense_normal_equations(tree, distances)
+        assert normal.tobytes() == expected_normal.tobytes()
+        assert rhs.tobytes() == expected_rhs.tobytes()

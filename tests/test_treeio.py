@@ -281,6 +281,17 @@ class TestTreeDocuments:
         assert "link_length=18.000" in text
         assert text.endswith(";")
 
+    def test_leaf_a_drawing_cannot_carry_is_named_with_the_file(self, tmp_path):
+        # the SVG drawing of such a tree would not be well-formed XML
+        from isolect.dendrogram import Dendrogram, Leaf, RootLink
+
+        path = tmp_path / "tree.json"
+        tree = Dendrogram(RootLink(length=30.0, left=Leaf("a\u0001"), right=Leaf("b")))
+        path.write_text(json.dumps(dendrogram_to_dict(tree)))
+        message = f"^{re.escape(str(path))}: language label 'a\\\\x01' holds a control character"
+        with pytest.raises(InputFormatError, match=message):
+            load_dendrogram(path)
+
     def test_leaf_only_tree(self):
         from isolect.dendrogram import Dendrogram, Leaf
 
@@ -334,6 +345,24 @@ class TestDeepTreeDocuments:
         path.write_text(text)
         assert load_dendrogram(path) == dendrogram_from_dict(doc)
         assert load_dendrogram(path).leaves() == ("L0", "L1", "L2", "L3", "L4", "L5")
+
+
+def test_byte_order_mark_is_dropped(data_dir, fig4_tree, tmp_path):
+    # U+FEFF must not become part of the first header label, and a fault
+    # after it is located by its byte from the start of the file
+    mark = b"\xef\xbb\xbf"
+    table = tmp_path / "table1.csv"
+    table.write_bytes(mark + (data_dir / "table1.csv").read_bytes())
+    plain, marked = read_coincidence_matrix(data_dir / "table1.csv"), read_coincidence_matrix(table)
+    assert marked.labels == plain.labels
+    assert np.array_equal(marked.values, plain.values, equal_nan=True)
+    tree = tmp_path / "tree.json"
+    save_dendrogram(fig4_tree, tree)
+    tree.write_bytes(mark + tree.read_bytes())
+    assert load_dendrogram(tree) == fig4_tree
+    table.write_bytes(mark + b"ab\xe9")
+    with pytest.raises(InputFormatError, match=r"not UTF-8 text \(byte 5\)$"):
+        read_coincidence_matrix(table)
 
 
 class TestSimulationConfig:
