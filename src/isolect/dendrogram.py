@@ -148,7 +148,7 @@ class Dendrogram:
     root: Union[RootLink, Node]
     # the one walk of the tree, made on construction: leaf labels, chain nodes and spans
     _order: tuple = field(default=None, init=False, repr=False, compare=False)
-    # the free lengths, leaf paths and splits, filled in by the first ``_paths(self)``
+    # the free lengths and the leaf paths, filled in by the first ``_paths(self)``
     _walk: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -248,17 +248,15 @@ def endpoint_depths(node: ChainNode) -> tuple:
 def _paths(d: Dendrogram):
     """The free lengths of ``d`` and the leaf-to-leaf paths through them.
 
-    Returns ``(values, D, S)``. ``values`` is the free-length vector: for
-    each chain node in pre-order (``chain_nodes`` order) its left edge, right
+    Returns ``(values, D)``. ``values`` is the free-length vector: for each
+    chain node in pre-order (``chain_nodes`` order) its left edge, right
     edge and width, then the root-link length if there is one. ``D`` is the
     k x k matrix of path lengths between the leaves in ``leaves()`` order.
-    ``S`` is the k x len(values) boolean split matrix: ``S[i, l]`` says that
-    leaf ``i`` lies below length ``l``, so the path between leaves ``i`` and
-    ``j`` crosses ``l`` exactly when ``S[i, l] != S[j, l]``. A path crosses
-    each divergence line once; it crosses a chain's width only when it
-    enters by one endpoint and leaves by the other, that is at the chain
-    where it meets or on the way up from the endpoint opposite the attach
-    side, so the leaves below a width are those on that side.
+    A path crosses each divergence line once; it crosses a chain's width
+    only when it enters by one endpoint and leaves by the other, that is at
+    the chain where it meets or on the way up from the endpoint opposite
+    the attach side. So the leaves below each length are a run of the walk's
+    spans, and a path crosses a length when just one of its leaves is in it.
 
     Each path is summed from both of its leaves up to where they meet, and
     the two sides are joined as ``(up_a + meet) + up_b``, which fixes the
@@ -267,7 +265,7 @@ def _paths(d: Dendrogram):
     leaf's length up to the attach endpoint of the highest chain above it
     visited so far.
 
-    Computed once per tree and kept on it; the three arrays are read-only.
+    Computed once per tree and kept on it; both arrays are read-only.
     """
     if d._walk is not None:
         return d._walk
@@ -276,7 +274,6 @@ def _paths(d: Dendrogram):
     values = [x for node in chains for x in (node.left_edge, node.right_edge, node.width)]
     values += [d.root.length] if link else []
     D = np.zeros((k, k))
-    S = np.zeros((k, len(values)), dtype=bool)
     reach = np.zeros(k)
     for i in reversed(range(len(chains))):
         node, (lo, mid, hi) = chains[i], spans[i]
@@ -284,19 +281,13 @@ def _paths(d: Dendrogram):
         reach[mid:hi] += node.right_edge
         D[lo:mid, mid:hi] = (reach[lo:mid, None] + node.width) + reach[None, mid:hi]
         D[mid:hi, lo:mid] = D[lo:mid, mid:hi].T
-        S[lo:mid, 3 * i] = S[mid:hi, 3 * i + 1] = True
-        if node.attach_side == "left":
-            S[mid:hi, 3 * i + 2] = True
-            reach[mid:hi] += node.width
-        else:
-            S[lo:mid, 3 * i + 2] = True
-            reach[lo:mid] += node.width
+        far = slice(mid, hi) if node.attach_side == "left" else slice(lo, mid)
+        reach[far] += node.width  # paths from the far side go up across the width
     if link:
         mid = spans[-1][1]
         D[:mid, mid:] = (reach[:mid, None] + d.root.length) + reach[None, mid:]
         D[mid:, :mid] = D[:mid, mid:].T
-        S[:mid, -1] = True
-    walk = (np.array(values), D, S)
+    walk = (np.array(values), D)
     for array in walk:
         array.setflags(write=False)
     object.__setattr__(d, "_walk", walk)
@@ -393,7 +384,6 @@ def root_geometry(d: Dendrogram, variant: str = None, fraction: float = None) ->
         fraction = link.fraction if fraction is None else fraction
     h_l = attach_depth(link.left)
     h_r = attach_depth(link.right)
-    shallow = min(h_l, h_r)
     deep = max(h_l, h_r)
     point_depth = (link.length + h_l + h_r) / 2.0
     if variant == "deep_point":

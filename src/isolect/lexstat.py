@@ -50,6 +50,10 @@ def _check_labels(labels) -> tuple:
     if not labels:
         raise DomainError("at least one language label required")
     _check_writable(labels, "language", ",\t")
+    # both parsers skip a line that starts with "#", and a language starts its rows
+    if any(x.startswith("#") for x in labels):
+        bad = next(x for x in labels if x.startswith("#"))
+        raise DomainError(f"language label {bad!r} cannot be written to a file: it starts with '#'")
     if min("".join(labels)) < " ":
         bad = next(x for x in labels if min(x) < " ")
         raise DomainError(
@@ -200,7 +204,7 @@ class CognacyTable:
     (language, slot), in the integer dtype it was given (other input becomes
     int64), and equal ids in a slot column mean a shared cognate class.
     ``borrowed`` flags loanword entries. Labels must be ones the files can
-    carry (``_check_writable``). Equality and hash are identity
+    carry (``_check_labels``, ``_check_writable``). Equality and hash are identity
     (``eq=False``), since ``==`` on the array fields would raise.
     """
 

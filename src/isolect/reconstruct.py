@@ -304,26 +304,28 @@ def _normal_equations(d: Dendrogram, distances: np.ndarray) -> tuple:
     ``b = |R & W|``, and the pairs that two widths both separate. Each of
     ``L``, ``R`` and ``W`` is a run of contiguous leaves (a span of the walk),
     so ``a``, ``b`` and the leaves two widths share are overlaps of two runs.
-    The right-hand side sums ``distances`` (in ``leaves()`` order) likewise.
+    The right-hand side sums ``distances`` (in ``leaves()`` order) over the
+    same runs: ``L x R`` per meet, and per width the rows of ``W`` less twice
+    the pairs that meet inside ``W``, the far child's subtree, summed children
+    first; so it is O(k^2) however wide ``W`` runs.
 
     Returns ``(normal, rhs, index, held)``: ``index`` is ``(up, down)``, per
     free length the column of ``T`` holding its +1 and its -1 (or -1), and
     the lengths are ``T y + held``, with the held paths taken off ``rhs``.
     """
-    S = _paths(d)[2]
     chains, spans = d.chain_nodes(), d._order[2]
-    n, k, link = len(chains), len(S), isinstance(d.root, RootLink)
+    n, k, link = len(chains), d.k, isinstance(d.root, RootLink)
     position = {id(node): i for i, node in enumerate(chains)}
-    up, down = [], []
-    for i, node in enumerate(chains):
+    up, down, runs = [], [], []  # runs: per width, its leaves [first, last) and far child
+    for i, (node, (first, cut, last)) in enumerate(zip(chains, spans)):
         up += (i, i, n + i)
         down += (position.get(id(node.left), -1), position.get(id(node.right), -1), -1)
+        runs.append((cut, last, down[-2]) if node.attach_side == "left" else (first, cut, down[-3]))
 
     # every side of a meet (the chains, then the root link) and every width
     # holds a run of leaves, so the counts are overlaps of two runs
     lo, mid, hi = np.array(spans, dtype=float).reshape(-1, 3).T
-    left_attach = np.array([node.attach_side == "left" for node in chains], dtype=bool)
-    start, stop = np.where(left_attach, mid[:n], lo[:n]), np.where(left_attach, hi[:n], mid[:n])
+    start, stop, _ = np.array(runs, dtype=float).reshape(-1, 3).T
 
     def overlap(first, last):  # leaves shared by each run [first, last) and each width
         return np.maximum(np.minimum(last[:, None], stop) - np.maximum(first[:, None], start), 0.0)
@@ -335,14 +337,15 @@ def _normal_equations(d: Dendrogram, distances: np.ndarray) -> tuple:
     both = overlap(start, stop)
     size = np.diag(both)
     only_w, only_v = size[:, None] - both, size[None, :] - both
-    F = S.astype(float)
-    left, right, widths = F[:, 0 : 3 * n : 3], F[:, 1 : 3 * n : 3], F[:, 2 : 3 * n : 3]
-    if link:  # the root link's sides: the leaves below its length and the rest
-        left = np.column_stack((left, F[:, -1]))
-        right = np.column_stack((right, 1.0 - F[:, -1]))
-    # per meet the distances summed over L x R, then per width over W x ~W
-    sums = np.column_stack((left, widths)).T @ distances
-    sums = (sums * np.column_stack((right, 1.0 - widths)).T).sum(axis=1)
+    # per meet the distances over L x R, then per width over W x ~W; inside[i]
+    # sums the pairs that meet below chain i, and a leaf (-1) has none
+    rows = distances.sum(axis=1)
+    meets = [float(distances[first:cut, cut:last].sum()) for first, cut, last in spans]
+    inside = meets[:n] + [0.0]
+    for i in reversed(range(n)):
+        inside[i] += inside[down[3 * i]] + inside[down[3 * i + 1]]
+    widths = [float(rows[first:last].sum()) - 2.0 * inside[far] for first, last, far in runs]
+    sums = np.array(meets + widths)
 
     normal = np.zeros((2 * n + link,) * 2)
     normal[:n, :n] = np.diag(4.0 * size_l[:n] * size_r[:n])
@@ -539,7 +542,7 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     improve.
     """
     at = _leaf_positions(d, measured.labels)
-    x0, paths0, _ = _paths(d)
+    x0, paths0 = _paths(d)
     if x0.size == 0:
         return d
     measured_paths = np.empty_like(paths0)  # in leaves() order, like the tree paths

@@ -10,7 +10,8 @@ Cognacy files: tab-separated with a required header row
 language has one row for every slot.
 
 A matrix or table whose labels these files could not read back (see
-``lexstat._check_writable``) is rejected when it is built.
+``lexstat._check_labels``) is rejected when it is built. Both parsers skip
+a line that starts with ``#``, so no language label may start with one.
 
 Every input file (matrix, cognacy table, tree description, simulation
 config) is read as UTF-8 text; a file that is not is an input error that

@@ -67,22 +67,29 @@ def two_cherry_tree() -> Dendrogram:
     return Dendrogram(RootLink(length=30.0, left=cherry1, right=cherry2))
 
 
-@pytest.fixture(scope="session")
-def deep_caterpillar() -> Dendrogram:
+def make_deep_caterpillar(attach_side: str = "left") -> Dendrogram:
     """A root link over a caterpillar nested deeper than the recursion limit.
 
     Chain ``n{i}`` sits at level ``i`` (i = 1 .. k - 2) with width 0.5 and
-    its parent edge on the left; it joins the chain below it (leaf ``L0``
-    for ``n1``) on the left to leaf ``L{i}`` on the right. The root link of
-    length 4 joins the top chain to leaf ``top``. The paths, with ``m = k - 2``:
-    ``L{j}``-``L{i}`` is ``2 i + 1`` for ``1 <= j < i``, ``L0``-``L{i}`` is
-    ``2 i + 0.5``, ``L{i}``-``top`` is ``m + 4.5`` and ``L0``-``top`` is ``m + 4``.
+    its parent edge on ``attach_side``; it joins the chain below it (leaf
+    ``L0`` for ``n1``) on the left to leaf ``L{i}`` on the right. The root
+    link of length 4 joins the top chain to leaf ``top``. With the parent
+    edge on the left, each width lies above one leaf and the paths are, with
+    ``m = k - 2``: ``L{j}``-``L{i}`` is ``2 i + 1`` for ``1 <= j < i``,
+    ``L0``-``L{i}`` is ``2 i + 0.5``, ``L{i}``-``top`` is ``m + 4.5`` and
+    ``L0``-``top`` is ``m + 4``. On the right, each width lies above the
+    whole chain below it, up to ``k - 2`` leaves.
     """
     k = sys.getrecursionlimit() + 100
     node = Leaf("L0")
     for i in range(1, k - 1):
-        node = ChainNode(f"n{i}", 0.5, node, Leaf(f"L{i}"), 1.0, float(i), "left")
+        node = ChainNode(f"n{i}", 0.5, node, Leaf(f"L{i}"), 1.0, float(i), attach_side)
     return Dendrogram(RootLink(4.0, node, Leaf("top")))
+
+
+@pytest.fixture(scope="session")
+def deep_caterpillar() -> Dendrogram:
+    return make_deep_caterpillar()
 
 
 def make_borrowing_table() -> CognacyTable:

@@ -347,10 +347,10 @@ class TestSimulate:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("label", ["a,b", "x\ty"], ids=["comma", "tab"])
+    @pytest.mark.parametrize("label", ["a,b", "x\ty", "#x"], ids=["comma", "tab", "hash"])
     def test_leaf_that_files_cannot_carry_exits_2(self, tmp_path, capsys, label):
         # such a leaf was written to cognacy.tsv and, through compare-borrowings,
-        # to a matrix file; neither read back
+        # to a matrix file; neither read back (a "#" row is a comment to both)
         tree = Dendrogram(RootLink(length=30.0, left=Leaf(label), right=Leaf("c")))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tree": dendrogram_to_dict(tree), "slots": 20, "seed": 1}))
@@ -452,6 +452,9 @@ def malformed_tree_document(tree, case):
     if case == "control-character-label":
         doc["root"]["right"]["label"] = "a\u0001"
         return doc, "language label 'a\\x01' holds a control character"
+    if case == "comment-label":
+        doc["root"]["right"]["label"] = "#x"
+        return doc, "language label '#x' cannot be written to a file"
     if case == "duplicate-chain-ids":
         leaves = {"left": {"kind": "leaf", "label": "3"}, "right": {"kind": "leaf", "label": "4"}}
         doc["root"]["right"] = {**doc["root"]["left"], **leaves}
@@ -471,6 +474,7 @@ class TestMalformedTree:
             "duplicate-leaf-labels",
             "duplicate-chain-ids",
             "control-character-label",
+            "comment-label",
         ],
     )
     @pytest.mark.parametrize("command", ["render", "simulate"])

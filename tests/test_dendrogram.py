@@ -36,6 +36,8 @@ from isolect.dendrogram import (
     attach_depth,
 )
 
+from conftest import make_deep_caterpillar
+
 
 class TestPathDistance:
     def test_fig4_paths(self, fig4_tree):
@@ -276,7 +278,7 @@ class TestPathCache:
         assert "_walk" not in repr(fig4_tree)
 
     def test_new_lengths_get_their_own_paths(self, fig4_tree):
-        values, D, _ = _paths(fig4_tree)
+        values, D = _paths(fig4_tree)
         shifted = _with_lengths(fig4_tree, values + 1.0)
         assert shifted._walk is None
         np.testing.assert_array_equal(_paths(shifted)[0], values + 1.0)
@@ -294,7 +296,7 @@ class TestDeepTree:
         assert tree.leaves() == (*(f"L{i}" for i in range(m + 1)), "top")
         assert [n.id for n in tree.chain_nodes()] == [f"n{i}" for i in range(m, 0, -1)]
 
-        values, D, S = _paths(tree)
+        values, D = _paths(tree)
         level = np.arange(m + 1.0)
         expected = np.zeros((k, k))
         expected[:-1, :-1] = 2.0 * np.maximum.outer(level, level) + 1.0
@@ -303,7 +305,6 @@ class TestDeepTree:
         expected[0, -1] = expected[-1, 0] = m + 4.0
         np.fill_diagonal(expected, 0.0)
         assert np.array_equal(D, expected)
-        assert S.shape == (k, 3 * m + 1)
 
         shifted = values + 1.0
         rebuilt = _with_lengths(tree, shifted)
@@ -314,11 +315,21 @@ class TestDeepTree:
         clades = tree.clades()
         assert clades[f"n{m}"] == frozenset(tree.leaves()[:-1])
         assert clades["n1"] == frozenset(("L0", "L1"))
+        assert render_svg(tree).count("<polygon") == k
 
+    @pytest.mark.parametrize("attach_side", ["left", "right"])
+    def test_exact_fit_of_a_caterpillar_deeper_than_the_recursion_limit(self, attach_side):
+        # on the right every width lies above the whole chain below it, so
+        # the polish sums its right-hand side over runs of up to k - 2 leaves
+        tree = make_deep_caterpillar(attach_side)
         measured = theoretical_matrix(tree)
         assert redistribute_residuals(tree, measured) is tree  # the fit is exact already
         assert fit_report(tree, measured).max_abs_distance < 1e-9
-        assert render_svg(tree).count("<polygon") == k
+        # and from lengths 1% off, the polish finds that fit again: to 1e-7
+        # of paths up to 2k swadesh, as its normal matrix is ill conditioned
+        nudged = _with_lengths(tree, _paths(tree)[0] * 1.01)
+        assert fit_report(nudged, measured).max_abs_distance > 10.0
+        assert fit_report(redistribute_residuals(nudged, measured), measured).max_abs_distance < 1e-7
 
     def test_compare_hash_and_repr_deeper_than_the_recursion_limit(self, deep_caterpillar):
         tree = deep_caterpillar

@@ -342,7 +342,7 @@ class TestUnwritableLabels:
     """A label must read back from every file it is written to."""
 
     @pytest.mark.parametrize("label", [
-        "a,b", "x\ty", "a\nb", "a\r", "a\u2028b", " a", "a ", "\xa0a", "",
+        "a,b", "x\ty", "a\nb", "a\r", "a\u2028b", " a", "a ", "\xa0a", "", "#x",
     ])
     def test_language_label_rejected(self, label):
         values = [[np.nan, 50.0], [50.0, np.nan]]

@@ -590,7 +590,7 @@ class TestPathWalk:
         for k in range(2, 31):
             tree = random_tree(rng, k, link)
             sides.update(node.attach_side for node in tree.chain_nodes())
-            values, D, S = _paths(tree)
+            values, D = _paths(tree)
             assert values.size == 3 * len(tree.chain_nodes()) + link
             assert _with_lengths(tree, values) == tree
             shifted = values + np.arange(values.size)
@@ -605,20 +605,14 @@ class TestPathWalk:
                         expected[i, j] = reference[frozenset((a, b))]
             assert np.array_equal(D, expected)
             assert leaf_distances(tree) == reference
-            assert S.shape == (k, values.size) and S.dtype == bool
-            rows, cols = np.triu_indices(k, 1)
-            crossed = S[rows] ^ S[cols]
-            np.testing.assert_allclose(crossed @ values, D[rows, cols], rtol=0.0, atol=1e-9)
-            assert np.array_equal(crossed, design(tree, matrix_from_tree(tree)))
             assert tree.clades() == reference_clades(tree)
         assert sides == {"left", "right"}
 
     def test_single_leaf_has_no_lengths(self):
         tree = Dendrogram(Leaf("only"))
-        values, D, S = _paths(tree)
+        values, D = _paths(tree)
         assert values.size == 0
         assert D.tolist() == [[0.0]]
-        assert S.shape == (1, 0)
         assert _with_lengths(tree, values) == tree
 
     def test_walk_orders_on_fixed_tree(self):
@@ -694,8 +688,8 @@ def design(tree, m) -> np.ndarray:
     """The dense 0/1 path design of ``tree``, one row per pair of ``m``.
 
     Column ``l`` holds the path lengths of the tree with length ``l`` set to
-    1 and every other length to 0, so the design does not rest on the split
-    matrix of ``_paths``.
+    1 and every other length to 0, so the design comes from path sums alone,
+    not from the leaf sets that ``_normal_equations`` counts.
     """
     units = np.eye(_paths(tree)[0].size)
     columns = [leaf_distances(_with_lengths(tree, unit)) for unit in units]
@@ -1136,16 +1130,19 @@ def test_polish_equals_the_full_dual(sd, link):
 
 def dense_normal_equations(d, distances) -> tuple:
     """``_normal_equations``'s normal matrix and right-hand side, counted by
-    products of the dense 0/1 leaf-set columns of the split matrix."""
-    S = _paths(d)[2]
-    chains = d.chain_nodes()
-    n, k, link = len(chains), len(S), isinstance(d.root, RootLink)
+    products of dense 0/1 leaf-set columns, taken from ``reference_clades``."""
+    clades, leaves, chains = reference_clades(d), d.leaves(), d.chain_nodes()
+    n, k, link = len(chains), len(leaves), isinstance(d.root, RootLink)
     position = {id(node): i for i, node in enumerate(chains)}
-    F = S.astype(float)
-    left, right, widths = F[:, 0 : 3 * n : 3], F[:, 1 : 3 * n : 3], F[:, 2 : 3 * n : 3]
-    if link:
-        left = np.column_stack((left, F[:, -1]))
-        right = np.column_stack((right, 1.0 - F[:, -1]))
+
+    def columns(nodes):  # per node a column that is 1.0 at the leaves below it
+        below = [clades[x.id] if isinstance(x, ChainNode) else {x.label} for x in nodes]
+        rows = [[label in b for label in leaves] for b in below]
+        return np.array(rows, dtype=float).reshape(-1, k).T
+
+    meets = [*chains, *[d.root] * link]  # the root link's sides: the leaves below its children
+    left, right = columns([x.left for x in meets]), columns([x.right for x in meets])
+    widths = columns([x.right if x.attach_side == "left" else x.left for x in chains])
     size_l, size_r = left.sum(axis=0), right.sum(axis=0)
     a, b = left.T @ widths, right.T @ widths
     across = a * (size_r[:, None] - b) + (size_l[:, None] - a) * b
@@ -1176,8 +1173,9 @@ def dense_normal_equations(d, distances) -> tuple:
 @pytest.mark.parametrize("link", [True, False])
 def test_normal_equations_counted_from_spans(link):
     # the counts come from overlaps of leaf runs; they are integers either
-    # way, so both the normal matrix and the right-hand side are bitwise
-    # those of the dense products. Without a root link a chain is the root
+    # way, so the normal matrix is bitwise that of the dense products. The
+    # right-hand side sums the same distances over runs of leaves, in another
+    # order than the products. Without a root link a chain is the root
     rng = np.random.default_rng(42 if link else 43)
     trees = [random_tree(rng, k, link) for k in range(2, 31)]
     trees += [horizontal_tree(rng, k, link) for k in (50, 100, 200)]
@@ -1186,4 +1184,4 @@ def test_normal_equations_counted_from_spans(link):
         normal, rhs = _normal_equations(tree, distances)[:2]
         expected_normal, expected_rhs = dense_normal_equations(tree, distances)
         assert normal.tobytes() == expected_normal.tobytes()
-        assert rhs.tobytes() == expected_rhs.tobytes()
+        np.testing.assert_allclose(rhs, expected_rhs, rtol=1e-14, atol=0.0)

@@ -9,6 +9,8 @@ import pytest
 
 from isolect import (
     CognacyTable,
+    CoincidenceMatrix,
+    DomainError,
     InputFormatError,
     IsolectError,
     build_dendrogram,
@@ -402,3 +404,78 @@ class TestSimulationConfig:
         path.write_text(json.dumps(payload))
         with pytest.raises(InputFormatError, match="replicates"):
             load_simulation_config(path)
+
+
+# the characters that the two file formats give a meaning to, among plain letters
+LABEL_ALPHABET = list("ab#, \t\n")
+LABEL_WEIGHTS = np.array([6.0, 6.0, 3.0, 1.0, 2.0, 1.0, 1.0]) / 20.0
+
+
+def random_label(rng) -> str:
+    return "".join(rng.choice(LABEL_ALPHABET, size=int(rng.integers(1, 5)), p=LABEL_WEIGHTS))
+
+
+def with_random_label(rng, labels) -> tuple:
+    """``labels`` with one of them, at a random place, replaced by a random label."""
+    labels = list(labels)
+    labels[int(rng.integers(len(labels)))] = random_label(rng)
+    return tuple(labels)
+
+
+class TestLabelsRoundTrip:
+    """A table or matrix is rejected when it is built, or its file reads back the same."""
+
+    def test_cognacy_tables(self, tmp_path):
+        rng = np.random.default_rng(2501)
+        path = tmp_path / "cognacy.tsv"
+        kept_languages, kept_slots, rejected = [], [], 0
+        for _ in range(300):
+            languages, slots = ("x", "y", "z"), ("s0", "s1")
+            if rng.random() < 0.5:
+                languages = with_random_label(rng, languages)
+            else:
+                slots = with_random_label(rng, slots)
+            ids = rng.integers(0, 3, size=(3, 2))
+            flags = rng.random((3, 2)) < 0.3
+            try:
+                table = CognacyTable(languages, slots, ids, flags)
+            except DomainError:
+                rejected += 1
+                continue
+            write_cognacy_table(table, path)
+            again = read_cognacy_table(path)
+            assert again.languages == languages and again.slots == slots
+            assert np.array_equal(again.borrowed, flags)
+            # per slot, each language's canonical class: the first language sharing it
+            before, after = table.class_ids, again.class_ids
+            assert np.array_equal(
+                np.argmax(before[:, None, :] == before[None, :, :], axis=1),
+                np.argmax(after[:, None, :] == after[None, :, :], axis=1),
+            )
+            kept_languages += languages
+            kept_slots += slots
+        # both outcomes are exercised, and so is each place that a "#" may take
+        assert rejected >= 50 and len(kept_slots) >= 2 * 50
+        assert any("#" in x for x in kept_languages)
+        assert any(x.startswith("#") for x in kept_slots)
+
+    def test_matrices(self, tmp_path):
+        rng = np.random.default_rng(2502)
+        path = tmp_path / "m.csv"
+        kept, rejected = [], 0
+        for _ in range(300):
+            labels = with_random_label(rng, ("x", "y", "z"))
+            values = rng.uniform(1.0, 100.0, size=(3, 3))
+            values = (values + values.T) / 2.0
+            try:
+                m = CoincidenceMatrix(labels, values, list_size=int(rng.integers(50, 250)))
+            except DomainError:
+                rejected += 1
+                continue
+            write_coincidence_matrix(m, path)
+            again = read_coincidence_matrix(path)
+            assert again.labels == labels and again.list_size == m.list_size
+            np.testing.assert_allclose(again.values, m.values, rtol=0.0, atol=5e-4)
+            kept += labels
+        assert rejected >= 50 and len(kept) >= 3 * 50
+        assert any("#" in x for x in kept) and any(" " in x for x in kept)
