@@ -30,7 +30,6 @@ from .dendrogram import (
     attach_depth,
     fit_report,
     leaf_distances,
-    path_distance,
     root_geometry,
     theoretical_matrix,
 )
@@ -40,7 +39,6 @@ from .lexstat import (
     CognacyTable,
     CoincidenceMatrix,
     adjust_coincidence_for_borrowings,
-    adjust_matrix_for_borrowings,
     coincidence_from_cognacy,
     coincidence_from_distance,
     distance_from_coincidence,
@@ -86,7 +84,6 @@ __all__ = [
     "SimulationConfig",
     "TwoLanguageFamily",
     "adjust_coincidence_for_borrowings",
-    "adjust_matrix_for_borrowings",
     "ancestor_depth",
     "attach_depth",
     "build_dendrogram",
@@ -98,7 +95,6 @@ __all__ = [
     "distance_matrix",
     "fit_report",
     "leaf_distances",
-    "path_distance",
     "recovery_trial",
     "redistribute_residuals",
     "root_geometry",

@@ -31,7 +31,6 @@ __all__ = [
     "endpoint_depths",
     "fit_report",
     "leaf_distances",
-    "path_distance",
     "root_geometry",
     "root_variants",
     "theoretical_matrix",
@@ -335,15 +334,6 @@ def leaf_distances(d: Dendrogram) -> dict:
         for i, a in enumerate(labels)
         for j, b in enumerate(labels[i + 1 :], i + 1)
     }
-
-
-def path_distance(d: Dendrogram, leaf_a: str, leaf_b: str) -> float:
-    """Tree-implied distance between two leaves, in swadesh units."""
-    labels = d.leaves()
-    for name in (leaf_a, leaf_b):
-        if name not in labels:
-            raise DomainError(f"unknown leaf {name!r}; tree has {sorted(labels)}")
-    return float(_paths(d)[1][labels.index(leaf_a), labels.index(leaf_b)])
 
 
 def theoretical_matrix(d: Dendrogram, list_size: int = 100) -> CoincidenceMatrix:

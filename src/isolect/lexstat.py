@@ -20,7 +20,6 @@ __all__ = [
     "CognacyTable",
     "CoincidenceMatrix",
     "adjust_coincidence_for_borrowings",
-    "adjust_matrix_for_borrowings",
     "coincidence_from_cognacy",
     "coincidence_from_distance",
     "distance_from_coincidence",
@@ -367,24 +366,3 @@ def adjust_coincidence_for_borrowings(c: float, adj: BorrowingAdjustment) -> flo
             f"n3={adj.n3} is inconsistent with c={c!r}"
         )
     return adjusted
-
-
-def adjust_matrix_for_borrowings(
-    m: CoincidenceMatrix, adj: BorrowingAdjustment
-) -> CoincidenceMatrix:
-    """Apply the borrowing-exclusion rescale to every pair of a matrix."""
-    if m.list_size != adj.n0:
-        raise DomainError(
-            f"matrix list_size {m.list_size} does not match adjustment n0 {adj.n0}"
-        )
-    k = m.k
-    out = np.full((k, k), np.nan)
-    for i in range(k):
-        for j in range(i + 1, k):
-            try:
-                out[i, j] = out[j, i] = adjust_coincidence_for_borrowings(
-                    float(m.values[i, j]), adj
-                )
-            except DomainError as exc:
-                raise DomainError(f"pair ({m.labels[i]}, {m.labels[j]}): {exc}") from None
-    return CoincidenceMatrix(m.labels, out, list_size=adj.n0 - adj.n3)

@@ -24,20 +24,18 @@ undetermined configuration. Measurement contradictions accumulated by the
 greedy pass can afterwards be spread by a least-squares adjustment whose
 unknowns are the chain levels and widths and the root-link length, so that
 every divergence line is a level difference and chains stay horizontal. The
-constraint that no length is negative makes it an inequality-constrained
-least-squares problem; it is solved exactly through the least-distance dual
-of Lawson & Hanson (1974, ch. 23), and its optimum is unique. Few lengths
-bind, so the dual is built only over a working set of lengths, those that
-came out negative in an earlier round, and the rounds stop when none does.
-The solver is in the package and needs numpy alone: every pair of leaves
-meets at one chain or at the root link, so the normal equations are counted
-in the unknowns, as pairs per meet and pairs across each width, from the
-leaf spans (``_normal_equations``); the Cholesky factor of the normal matrix
-is inverted blockwise as a triangle, and each dual goes to the Lawson-Hanson
-active-set method (``_nnls``), warm-started from the previous round's
-passive columns. The dual is ill conditioned: polished lengths are
-reproducible to about 1e-12 of the longest length (about 2e-11 swadesh at
-k=200), so compare polished trees at that tolerance.
+constraint that no length is negative makes it a strictly convex quadratic
+program with a unique optimum. The normal equations are counted in the
+unknowns, as pairs per meet and pairs across each width, from the leaf spans
+(``_normal_equations``), since every pair of leaves meets at one chain or at
+the root link; the Cholesky factor of the normal matrix is inverted
+blockwise as a triangle. The program then becomes a least-distance one, and
+the dual active-set method of Goldfarb & Idnani (1983) solves it
+(``_least_distance``): it starts at the unconstrained optimum and takes the
+violated lengths in one at a time, so its work grows with the few lengths
+that bind. All of it needs numpy alone. Polished lengths agree with other
+exact solvers to about 1e-13 of the longest length at k=200 (1e-11 swadesh)
+and 4e-13 at k=1000, so compare polished trees at 1e-12 of it.
 """
 
 import math
@@ -382,114 +380,114 @@ def _map_rows(index: tuple, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nnls(E: np.ndarray, f: np.ndarray, start=()) -> np.ndarray:
-    """Nonnegative least squares: the ``u >= 0`` that minimizes ``|E u - f|``.
+_MET = 1e-13  # a length is met at a slack of at least -_MET times the largest at the start
 
-    The active-set method of Lawson & Hanson (1974, ch. 23). Each passive-set
-    subproblem is solved on the columns of ``E`` themselves, not on ``E^T E``,
-    whose condition number is the square of theirs, and the gradient is taken
-    in data space. As in their reference code, a column whose own coefficient
-    comes out of its first solve at or below zero does not enter: its
-    gradient entry is set to zero and the next candidate is tried. The
-    tolerance follows ``scipy.optimize.nnls``, and so does the cap of ``3 n``
-    iterations (``n`` the column count), counted here as passive-set solves;
-    reaching it raises ``RuntimeError``.
 
-    The passive columns are kept in entering order with a thin QR factor
-    ``Q R``, and each subproblem is the triangular solve ``R s = Q^T f``. A
-    column that enters is appended by Gram-Schmidt with one
-    re-orthogonalization and dropped again if it does not stay; only a
-    blocking step, which removes columns, refactors from scratch. As in the
-    reference code, a column that depends on the passive ones to working
-    precision (0.01 of its new diagonal entry is lost against the norm of
-    its projection) does not enter either, so the passive set keeps full
-    column rank. ``Q``, ``R`` and ``Q^T f`` live in preallocated storage,
-    written in place, whose column capacity doubles whenever the passive set
-    fills it. The residual ``f - E u`` is kept too: a column ``q`` of ``Q``
-    that enters takes ``q (q^T f)`` off it, so each step makes one product
-    with ``E^T`` (the gradient); it is recomputed only after a blocking step.
+def _least_distance(inverse: np.ndarray, c: np.ndarray, index: tuple, held: np.ndarray) -> tuple:
+    """The polish's least-distance program, by the dual method of Goldfarb & Idnani (1983).
 
-    ``start`` lists columns to begin from, say the passive set of a smaller
-    problem over the same columns. They are factored at once; if their
-    least-squares coefficients are not all positive, the method starts from
-    ``u = 0`` instead.
+    Minimizes ``|w|`` subject to ``T y + held >= 0`` for ``y = inverse^T (w +
+    c)``, where ``T`` is the level/width map behind ``index``. Length ``i``
+    has the constraint normal ``b_i = inverse[:, up_i] - inverse[:, down_i]``
+    (a difference of columns), so its slack is ``b_i^T (w + c) + held_i``.
+    This is Goldfarb and Idnani's method with ``J = I``: it starts at ``w =
+    0``, the unconstrained optimum, and takes violated lengths in one at a
+    time. The normals of the lengths held at zero are kept as a thin QR
+    factor ``Q R``, with ``R^-1`` beside it. An entering normal ``b`` is
+    appended by Gram-Schmidt with one re-orthogonalization; the primal step
+    is along its part ``b'`` off ``Q``, at full length ``-slack / |b'|^2``,
+    and the held lengths' multipliers move along ``-R^-1 Q^T b``. When one
+    of them reaches zero first (the partial step ``min u_j / r_j``), its
+    length leaves: its column of ``R`` is deleted, Givens rotations, applied
+    to the rows of ``Q`` too, restore the triangle, and ``R^-1`` is taken
+    anew. A normal whose part off ``Q`` is under 1e-13 of its length takes
+    the dual step alone.
+
+    The slacks of all lengths are taken once per round; within a round only
+    the lengths negative at its start are followed, as one block of
+    normals. A length counts as met when its slack is at least ``-_MET``
+    times the largest slack in magnitude at the unconstrained optimum (at
+    the end, every slack may be near zero), so that a constraint listed
+    twice (a chain over two leaves holds ``level >= 0`` twice) is not taken
+    in again once its copy is held. ``Q``, ``R`` and ``R^-1`` live in
+    preallocated storage that doubles when full. More steps than three per
+    length raise ``RuntimeError``, and so does an infeasible program.
+
+    Returns ``(y, bound)``, with ``bound`` true at the lengths held at zero.
     """
-    m, n = E.shape
-    tol = 10.0 * np.finfo(float).eps * max(m, n) * np.linalg.norm(E, 1)
-    u = np.zeros(n)
-    passive = list(start)  # column indices in entering order, the column order of Q and R
-    size = max(min(n, 32), len(passive))
-    Q, R, qtf = np.empty((m, size)), np.empty((size, size)), np.empty(size)  # in use: [:p]
-    residual = f.copy()
-    solves = 0
-
-    def solve():
-        nonlocal solves
-        solves += 1
-        if solves > 3 * n:
-            raise RuntimeError(f"nonnegative least squares did not converge in {3 * n} solves")
-        p = len(passive)
-        s = np.zeros(n)
-        # R is upper triangular: LU does not pivot
-        s[passive] = np.linalg.solve(R[:p, :p], qtf[:p])
-        return s
-
-    def refactor():
-        p = len(passive)
-        Q[:, :p], R[:p, :p] = np.linalg.qr(E[:, passive])
-        qtf[:p] = Q[:, :p].T @ f
-        return solve()
-
-    if passive:
-        s = refactor()
-        if (s[passive] > 0.0).all():
-            u = s
-            residual = f - E[:, passive] @ u[passive]
-        else:
-            passive = []
-    w = E.T @ residual
-    while len(passive) < n:
-        candidates = w.copy()
-        candidates[passive] = -np.inf
-        j = int(np.argmax(candidates))
-        if w[j] <= tol:
-            break
-        p = len(passive)
-        r = Q[:, :p].T @ E[:, j]
-        q = E[:, j] - Q[:, :p] @ r
-        again = Q[:, :p].T @ q
-        q -= Q[:, :p] @ again
-        r += again
-        diagonal, norm = np.linalg.norm(q), np.linalg.norm(r)
-        if norm + 0.01 * diagonal <= norm:  # dependent to working precision
-            w[j] = 0.0
-            continue
-        if p == len(R):
-            grow = min(p, n - p)
-            Q, R, qtf = np.pad(Q, ((0, 0), (0, grow))), np.pad(R, (0, grow)), np.pad(qtf, (0, grow))
-        Q[:, p] = q / diagonal
-        R[:p, p], R[p, :p], R[p, p] = r, 0.0, diagonal
-        qtf[p] = Q[:, p] @ f
-        passive.append(j)
-        s = solve()
-        if s[j] <= 0.0:
-            passive.pop()
-            w[j] = 0.0
-            continue
-        if (s[passive] >= 0.0).all():
-            residual -= Q[:, p] * qtf[p]
-        else:
-            while (s[passive] < 0.0).any():
-                # step from u towards s until the first passive entry reaches zero
-                blocking = [i for i in passive if s[i] < 0.0]
-                alpha = np.min(u[blocking] / (u[blocking] - s[blocking]))
-                u += alpha * (s - u)
-                passive = [i for i in passive if u[i] > tol]
-                s = refactor()
-            residual = f - E[:, passive] @ s[passive]
-        u = s
-        w = E.T @ residual
-    return u
+    up, down = index
+    cap = 3 * up.size
+    w = np.zeros_like(c)
+    held_at = []  # the lengths held at zero, in the row order of Q and column order of R
+    bound = np.zeros(up.size, dtype=bool)
+    size = min(c.size, 32)
+    Q, u = np.empty((size, c.size)), np.empty(size)  # in use: [:p]
+    R, inverse_r = np.empty((size, size)), np.empty((size, size))
+    steps = 0
+    y = inverse.T @ c
+    slack = _map_rows(index, y) + held
+    tol = _MET * np.abs(slack).max()  # at the optimum, every slack may be near zero
+    while (follow := np.flatnonzero((slack < -tol) & ~bound)).size:
+        normals = _map_rows((up[follow], down[follow]), inverse.T)  # one row per followed length
+        s = slack[follow]
+        while True:
+            free = np.where(bound[follow], np.inf, s)
+            j = int(np.argmin(free))
+            if free[j] >= -tol:
+                break
+            b, entering = normals[j], 0.0
+            while True:
+                steps += 1
+                if steps > cap:
+                    raise RuntimeError(f"least-distance program did not converge in {cap} steps")
+                p = len(held_at)
+                r = Q[:p] @ b
+                q = b - r @ Q[:p]
+                again = Q[:p] @ q
+                q -= again @ Q[:p]
+                r += again
+                square = q @ q
+                direction = inverse_r[:p, :p] @ r
+                full = -s[j] / square if square > 1e-26 * (b @ b) else np.inf
+                blocking = np.flatnonzero(direction > 0.0)
+                ratios = u[blocking] / direction[blocking]
+                partial = ratios.min() if blocking.size else np.inf
+                t = min(full, partial)
+                if t == np.inf:
+                    raise RuntimeError("least-distance program is infeasible")
+                u[:p] -= t * direction
+                entering += t
+                if full < np.inf:
+                    w += t * q
+                    s += t * (normals @ q)
+                if full <= partial:
+                    break
+                # the held length whose multiplier reached zero leaves
+                leaving = int(blocking[np.argmin(ratios)])
+                bound[held_at.pop(leaving)] = False
+                u[leaving : p - 1] = u[leaving + 1 : p]
+                R[:p, leaving : p - 1] = R[:p, leaving + 1 : p]
+                for i in range(leaving, p - 1):
+                    a, e = R[i, i], R[i + 1, i]
+                    h = math.hypot(a, e)
+                    rotation = np.array([[a / h, e / h], [-e / h, a / h]])
+                    R[i : i + 2, i : p - 1] = rotation @ R[i : i + 2, i : p - 1]
+                    Q[i : i + 2] = rotation @ Q[i : i + 2]
+                    R[i + 1, i] = 0.0
+                inverse_r[: p - 1, : p - 1] = np.linalg.inv(R[: p - 1, : p - 1])
+            if p == len(R):
+                Q, u = np.pad(Q, ((0, p), (0, 0))), np.pad(u, (0, p))
+                R, inverse_r = np.pad(R, (0, p)), np.pad(inverse_r, (0, p))
+            norm = math.sqrt(square)
+            Q[p] = q / norm
+            R[:p, p], R[p, :p], R[p, p] = r, 0.0, norm
+            inverse_r[:p, p], inverse_r[p, :p], inverse_r[p, p] = -direction / norm, 0.0, 1.0 / norm
+            u[p] = entering
+            held_at.append(follow[j])
+            bound[follow[j]] = True
+        y = inverse.T @ (w + c)
+        slack = _map_rows(index, y) + held
+    return y, bound
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
@@ -526,17 +524,12 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
 
     The problem is solved in normal form: with ``G = R^T R`` the Cholesky
     factorization of the normal matrix and ``c`` its reduced right-hand
-    side, the inequality-constrained least-squares problem is a
-    least-distance program in ``z = R y - c`` (Lawson & Hanson 1974,
-    ch. 23), with one constraint per free length. It is solved by
-    constraint generation: starting from ``z = 0``, the unconstrained
-    optimum, every length that comes out negative joins a working set, and
-    the program over the working set is solved through its dual, a
-    nonnegative least-squares problem with a row per unknown plus one and a
-    column per length in the set, warm-started from the previous round's
-    passive columns. The rounds end when no length is negative, since an
-    optimum over some of the constraints that meets all of them is the
-    optimum over all of them. Few lengths bind: at k=200 about 45 of 595.
+    side, it is the least-distance program min ``|w|`` over ``w = R y - c``
+    with one constraint per free length (Lawson & Hanson 1974, ch. 23),
+    solved by ``_least_distance``. Few lengths bind: at k=200 about 45 of
+    595. A length held at zero comes out exactly zero: a width, a root link
+    or a vertical above a leaf is set to it, and a chain held on a child
+    chain is put at the level of its highest child.
 
     Returns the input tree unchanged when the sum of squares does not
     improve.
@@ -549,37 +542,21 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     measured_paths[np.ix_(at, at)] = distance_matrix(measured)
 
     normal, rhs, index, held = _normal_equations(d, measured_paths)
-    # R^-T, the inverse of the Cholesky factor of the normal matrix, for c, the dual and y
+    # R^-T, the inverse of the Cholesky factor of the normal matrix, for c and y
     inverse = _lower_inverse(np.linalg.cholesky(normal))
     c = inverse @ rhs
-    # least-distance program in z = R y - c: min |z| subject to
-    # (T R^-1) z >= -(T R^-1 c + held), solved on a working set of its rows.
-    # Over the rows in the set, its dual is the NNLS problem min |dual u - e|
-    # over u >= 0, and z = r[:-1] / |r|^2 for the residual r = dual u - e: at
-    # the optimum r^T (dual u) = 0, so |r|^2 = -r[-1], which is positive since
-    # y = 0 is feasible. r[-1] itself comes out of a cancellation and would
-    # carry the solver's rounding into z a millionfold. The optimum over some
-    # rows that meets all of them is the optimum over all of them
+    y, bound = _least_distance(inverse, c, index, held)
+    # lengths held at zero come out exactly zero: a held width, root link or
+    # vertical above a leaf is set to zero, and a chain held on a child chain
+    # is lowered to -inf for the loop below to put at its highest child. That
+    # loop removes rounding-level violations: it raises each chain to the
+    # highest child it joins, children first (they follow their parents in
+    # pre-order), so that every level difference is exactly nonnegative; down
+    # holds, per length, the chain whose level it subtracts, or -1
     up, down = index
-    z, working, u = np.zeros_like(c), np.zeros(0, dtype=np.intp), np.zeros(0)
-    target = np.zeros(c.size + 1)
-    target[-1] = 1.0
-    while True:
-        y = inverse.T @ (z + c)
-        new = np.setdiff1d(np.flatnonzero(_map_rows(index, y) + held < 0.0), working)
-        if new.size == 0:
-            break
-        working = np.concatenate((working, new))  # appended: u's columns keep their place
-        constraint_t = _map_rows((up[working], down[working]), inverse.T).T  # (T R^-1)^T
-        dual = np.vstack((constraint_t, -(c @ constraint_t + held[working])))
-        u = _nnls(dual, target, start=np.flatnonzero(u > 0.0))
-        residual = dual @ u - target
-        z = residual[:-1] / (residual @ residual)
     y = np.maximum(y, 0.0)
-    # remove rounding-level violations: raise each chain to the highest child
-    # it joins, children first (they follow their parents in pre-order), so
-    # that every level difference is exactly nonnegative; down holds, per
-    # length, the chain whose level it subtracts, or -1
+    y[up[bound & (down < 0) & (up >= 0)]] = 0.0
+    y[up[bound & (down >= 0)]] = -np.inf
     edges = np.flatnonzero(down >= 0)[::-1]
     for parent, child in zip(edges // 3, down[edges]):
         y[parent] = max(y[parent], y[child])

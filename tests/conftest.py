@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isolect import CognacyTable, CoincidenceMatrix
-from isolect.dendrogram import ChainNode, Dendrogram, Leaf, RootLink
+from isolect import CognacyTable, CoincidenceMatrix, distance_matrix
+from isolect.dendrogram import ChainNode, Dendrogram, Leaf, RootLink, _leaf_positions, _paths
+from isolect.reconstruct import _map_rows, _normal_equations
 from isolect.treeio import read_coincidence_matrix
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -90,6 +91,61 @@ def make_deep_caterpillar(attach_side: str = "left") -> Dendrogram:
 @pytest.fixture(scope="session")
 def deep_caterpillar() -> Dendrogram:
     return make_deep_caterpillar()
+
+
+def make_far_side_caterpillar(k: int) -> CoincidenceMatrix:
+    """Noisy coincidences of a ``k``-leaf caterpillar with far-side widths.
+
+    Chain ``n{i}`` (i = 1 .. k - 2) has width 0.5, its parent edge on the
+    right, the chain below it (leaf ``L0`` for ``n1``) on the left at edge
+    1 and leaf ``L{i}`` on the right at edge ``i + 0.7``; a root link of
+    length 4 joins the top chain to leaf ``top``. Its levels step by 1
+    swadesh, closer than the noise: each coincidence ``100 exp(-D/100)`` of
+    the path matrix ``D`` (in ``leaves()`` order) is multiplied by ``1 +
+    N(0, 0.02)`` drawn from ``default_rng(7)``, the upper triangle is
+    mirrored, and values are capped at 100. The greedy trees of these
+    matrices bind many lengths: at 600 leaves the working-set polish that
+    preceded the dual active-set one stopped short of the optimum.
+    """
+    node = Leaf("L0")
+    for i in range(1, k - 1):
+        node = ChainNode(f"n{i}", 0.5, node, Leaf(f"L{i}"), 1.0, i + 0.7, "right")
+    tree = Dendrogram(RootLink(4.0, node, Leaf("top")))
+    values = 100.0 * np.exp(-_paths(tree)[1] / 100.0)
+    values *= 1.0 + np.random.default_rng(7).normal(0.0, 0.02, (k, k))
+    upper = np.triu_indices(k, 1)
+    values.T[upper] = values[upper]
+    np.fill_diagonal(values, 100.0)
+    return CoincidenceMatrix(tree.leaves(), np.minimum(values, 100.0))
+
+
+def polish_stationarity(tree: Dendrogram, m: CoincidenceMatrix) -> tuple:
+    """The KKT conditions of a polished tree, checked with numpy alone.
+
+    The polish minimizes ``|A y - d|^2`` subject to ``T y + held >= 0``
+    (``reconstruct._normal_equations``), so at its optimum the gradient ``G
+    y - rhs`` of the normal equations is ``T_tight^T lambda`` for
+    multipliers ``lambda >= 0`` over the binding lengths, taken here as
+    those at most 1e-9 of the longest. ``y`` is read off the tree's lengths
+    children first, and ``lambda`` is fitted by least squares. Returns the
+    relative stationarity residual ``|T_tight^T lambda - (G y - rhs)| / |G
+    y - rhs|`` and the smallest multiplier.
+    """
+    lengths = _paths(tree)[0]
+    measured = np.empty((m.k, m.k))
+    at = _leaf_positions(tree, m.labels)
+    measured[np.ix_(at, at)] = distance_matrix(m)
+    normal, rhs, (up, down), held = _normal_equations(tree, measured)
+    y = np.zeros(len(normal))
+    for i in reversed(range(lengths.size)):  # a chain's lengths come before its children's
+        if up[i] >= 0:
+            y[up[i]] = lengths[i] - held[i] + (y[down[i]] if down[i] >= 0 else 0.0)
+    gradient = normal @ y - rhs
+    tight = lengths <= 1e-9 * lengths.max()
+    normals = _map_rows((up[tight], down[tight]), np.eye(len(normal))).T
+    multipliers = np.linalg.lstsq(normals, gradient, rcond=None)[0]
+    residual = np.linalg.norm(normals @ multipliers - gradient) / np.linalg.norm(gradient)
+    return residual, multipliers.min()
 
 
 def make_borrowing_table() -> CognacyTable:

@@ -19,7 +19,6 @@ from isolect import (
     distance_matrix,
     fit_report,
     leaf_distances,
-    path_distance,
     redistribute_residuals,
     root_geometry,
     root_variants,
@@ -39,26 +38,29 @@ from isolect.dendrogram import (
 from conftest import make_deep_caterpillar
 
 
+def path(d, a, b) -> float:
+    """The path between leaves ``a`` and ``b`` of ``d``, from ``_paths``."""
+    labels = d.leaves()
+    return _paths(d)[1][labels.index(a), labels.index(b)]
+
+
 class TestPathDistance:
     def test_fig4_paths(self, fig4_tree):
-        assert path_distance(fig4_tree, "1", "2") == pytest.approx(20.0, abs=1e-12)
-        assert path_distance(fig4_tree, "1", "3") == pytest.approx(30.0, abs=1e-12)
-        assert path_distance(fig4_tree, "2", "3") == pytest.approx(26.0, abs=1e-12)
+        assert path(fig4_tree, "1", "2") == pytest.approx(20.0, abs=1e-12)
+        assert path(fig4_tree, "1", "3") == pytest.approx(30.0, abs=1e-12)
+        assert path(fig4_tree, "2", "3") == pytest.approx(26.0, abs=1e-12)
 
     def test_same_leaf_is_zero(self, fig4_tree):
-        assert path_distance(fig4_tree, "2", "2") == 0.0
+        assert (np.diag(_paths(fig4_tree)[1]) == 0.0).all()
 
     def test_symmetry(self, fig4_tree):
-        assert path_distance(fig4_tree, "3", "1") == path_distance(fig4_tree, "1", "3")
-
-    def test_unknown_leaf(self, fig4_tree):
-        with pytest.raises(DomainError, match="unknown leaf"):
-            path_distance(fig4_tree, "1", "zz")
+        paths = _paths(fig4_tree)[1]
+        assert (paths == paths.T).all()
 
     def test_chain_skipped_on_attach_side(self, fig4_tree):
         # language 2 hangs below the attach endpoint, so its path to 3 does
         # not cross the chain while language 1's does
-        assert path_distance(fig4_tree, "1", "3") - path_distance(fig4_tree, "2", "3") == pytest.approx(4.0)
+        assert path(fig4_tree, "1", "3") - path(fig4_tree, "2", "3") == pytest.approx(4.0)
 
     def test_triangle_inequality_on_constructed_trees(self, table1, table2):
         for matrix in (table1, table2):

@@ -12,7 +12,6 @@ from isolect import (
     DomainError,
     InputFormatError,
     adjust_coincidence_for_borrowings,
-    adjust_matrix_for_borrowings,
     coincidence_from_cognacy,
     coincidence_from_distance,
     distance_from_coincidence,
@@ -415,13 +414,7 @@ class TestBorrowingAdjustment:
             n3 = int(rng.integers(0, 21))
             m = CoincidenceMatrix(labels, values)
             adj = BorrowingAdjustment(n0=100, n3=n3)
-            adjusted = adjust_matrix_for_borrowings(m, adj)
             dm = distance_matrix(m)
-            dm_adj = distance_matrix(adjusted)
             for i, j in zip(*np.triu_indices(k, 1)):
-                assert dm_adj[i, j] == pytest.approx(dm[i, j] - adj.shift, abs=1e-9)
-
-    def test_list_size_must_match(self):
-        m = CoincidenceMatrix(("a", "b"), [[np.nan, 50.0], [50.0, np.nan]], list_size=94)
-        with pytest.raises(DomainError, match="list_size"):
-            adjust_matrix_for_borrowings(m, BorrowingAdjustment(n0=100, n3=2))
+                adjusted = adjust_coincidence_for_borrowings(float(m.values[i, j]), adj)
+                assert distance_from_coincidence(adjusted) == pytest.approx(dm[i, j] - adj.shift, abs=1e-9)

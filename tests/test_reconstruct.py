@@ -38,7 +38,9 @@ from isolect.dendrogram import (
     attach_depth,
     endpoint_depths,
 )
-from isolect.reconstruct import _lower_inverse, _map_rows, _nnls, _normal_equations
+from isolect.reconstruct import _least_distance, _lower_inverse, _map_rows, _normal_equations
+
+from conftest import make_far_side_caterpillar, polish_stationarity
 
 
 def matrix_from_distances(labels, dist) -> CoincidenceMatrix:
@@ -889,22 +891,14 @@ def test_import_leaves_scipy_unloaded(data_dir, tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
-def nnls_problems():
-    """Seeded well-conditioned, wide and low-rank NNLS problems."""
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        yield rng.normal(size=(30, 20)), rng.normal(size=30)
-        yield rng.normal(size=(15, 40)), rng.normal(size=15)
-        yield rng.normal(size=(30, 8)) @ rng.normal(size=(8, 20)), rng.normal(size=30)
-
-
 def full_dual(tree, m) -> tuple:
     """The whole least-distance dual of the polish of ``tree``, one column per free length.
 
-    The reference that the working-set duals of ``redistribute_residuals``
-    are checked against. Returns ``(dual, target, inverse, c, index,
-    held)``, where ``inverse`` is the inverse Cholesky factor of the normal
-    matrix and ``c`` the reduced right-hand side.
+    The NNLS form of the polish (Lawson & Hanson 1974, ch. 23), solved by
+    scipy as the reference for ``redistribute_residuals``. Returns ``(dual,
+    target, inverse, c, index, held)``, where ``inverse`` is the inverse
+    Cholesky factor of the normal matrix and ``c`` the reduced right-hand
+    side.
     """
     measured_paths = np.empty((m.k, m.k))
     at = _leaf_positions(tree, m.labels)
@@ -940,141 +934,98 @@ def polish_problems():
             yield build_dendrogram(m)[0], m
 
 
-@pytest.fixture(scope="module")
-def polish_duals():
-    """The whole least-distance duals of the polish, at k = 20..200.
+def listed_twice(seed) -> tuple:
+    """A seeded least-distance program over 3 unknowns with ``y_0 >= 0`` listed twice.
 
-    Their condition numbers run from 5e15 to 6e17.
+    Returns the arguments of ``_least_distance`` with the constraints
+    ``y_0 >= 0``, ``y_0 >= 0`` and ``y_1 >= 0``, as a chain over two leaves
+    holds its level twice; the unconstrained optimum violates the first.
     """
-    duals = [full_dual(tree, m)[:2] for tree, m in polish_problems()]
-    assert len(duals) == 4
-    return duals
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(3, 3))
+    inverse = np.linalg.inv(np.linalg.cholesky(A @ A.T + 3.0 * np.eye(3)))
+    c = 10.0 * rng.normal(size=3)
+    return inverse, c, (np.array([0, 0, 1]), np.array([-1, -1, -1])), np.zeros(3)
 
 
-@pytest.fixture(scope="module")
-def working_set_duals():
-    """The duals over working sets of lengths that the polish hands to ``_nnls``.
+class TestLeastDistance:
+    def test_feasible_start_is_the_optimum(self):
+        # no length is negative at the unconstrained optimum: it is returned
+        # as it is, and nothing is held
+        rng = np.random.default_rng(3)
+        inverse = np.linalg.inv(np.linalg.cholesky(np.diag(rng.uniform(1.0, 2.0, 4))))
+        c = rng.uniform(1.0, 2.0, 4)
+        index = np.array([0, 1, 2, 3]), np.array([-1, 0, 1, 2])
+        y, bound = _least_distance(inverse, c, index, np.full(4, 10.0))
+        assert y.tobytes() == (inverse.T @ c).tobytes()
+        assert not bound.any()
 
-    Their columns can be dependent, so their solutions need not be unique.
-    """
-    import isolect.reconstruct as reconstruct
+    @pytest.mark.parametrize("seed", [2, 10, 31, 47, 51, 58])
+    def test_constraint_listed_twice(self, seed):
+        # both copies come out negative together and stay equal to the bit:
+        # once one is held, the other's slack is zero up to rounding and must
+        # count as met, or the two take turns to be held (test_step_cap_raises).
+        # On these seeds every slack at the optimum is rounding-level, so the
+        # tolerance must not be taken from it. The program with one copy has
+        # the same solution
+        inverse, c, (up, down), held = listed_twice(seed)
+        y, bound = _least_distance(inverse, c, (up, down), held)
+        once, bound_once = _least_distance(inverse, c, (up[1:], down[1:]), held[1:])
+        assert y.tobytes() == once.tobytes()
+        assert bound.tolist() == [True, False, bound_once[1]] and bound_once[0]
 
-    duals = []
+    def test_step_cap_raises(self, monkeypatch):
+        # without the tolerance the copies of test_constraint_listed_twice
+        # swap places until the cap of three steps per length
+        import isolect.reconstruct as reconstruct
 
-    def record(E, f, start=()):
-        duals.append((E, f, start))
-        return _nnls(E, f, start)
+        monkeypatch.setattr(reconstruct, "_MET", 0.0)
+        with pytest.raises(RuntimeError, match="did not converge in 9 steps"):
+            for seed in range(60):
+                _least_distance(*listed_twice(seed))
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reconstruct, "_nnls", record)
+    def test_infeasible_program_raises(self):
+        # y_0 >= 0 and -y_0 - 1 >= 0: the second normal depends on the held
+        # first, and no multiplier can give way
+        index = np.array([0, -1]), np.array([-1, 0])
+        with pytest.raises(RuntimeError, match="infeasible"):
+            _least_distance(np.eye(1), np.array([-1.0]), index, np.array([0.0, -1.0]))
+
+    def test_polish_meets_the_kkt_conditions(self):
         for tree, m in polish_problems():
-            size = len(duals)
-            redistribute_residuals(tree, m)
-            assert len(duals) > size
-            assert all(E.shape[1] < full_dual(tree, m)[0].shape[1] for E, _, _ in duals[size:])
-    return duals
+            residual, smallest = polish_stationarity(redistribute_residuals(tree, m), m)
+            assert residual <= 1e-8 and smallest >= 0.0
 
+    def test_polish_is_optimal_on_the_far_side_caterpillar(self):
+        # the working-set polish stopped at a relative stationarity residual
+        # of 9.8e-3 here (SSE 38270270.45 against 38270269.72 at the optimum)
+        m = make_far_side_caterpillar(600)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            greedy = build_dendrogram(m)[0]
+        polished = redistribute_residuals(greedy, m)
+        residual, smallest = polish_stationarity(polished, m)
+        assert residual <= 1e-8 and smallest >= 0.0
+        assert tree_sse(polished, m) < tree_sse(greedy, m)
 
-class TestNNLS:
-    def test_matches_scipy(self, polish_duals):
-        optimize = pytest.importorskip("scipy.optimize")
-        for E, f in [*nnls_problems(), *polish_duals]:
-            u, expected = _nnls(E, f), optimize.nnls(E, f)[0]
-            np.testing.assert_array_equal(u > 0.0, expected > 0.0)
-            np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max())
+    def test_held_lengths_come_out_exactly_zero(self):
+        # widths and verticals above leaves are set to zero; a chain held on
+        # a child chain sits at its highest child (rounding left up to 7e-14)
+        for tree, m in polish_problems():
+            _, _, inverse, c, index, held = full_dual(tree, m)
+            bound = _least_distance(inverse, c, index, held)[1]
+            assert (index[1][bound] >= 0).any() and (index[1][bound] < 0).any()
+            assert (_paths(redistribute_residuals(tree, m))[0][bound] == 0.0).all()
 
-    def test_kkt_conditions(self, polish_duals):
-        for E, f in [*nnls_problems(), *polish_duals]:
-            u = _nnls(E, f)
-            gradient = E.T @ (f - E @ u)
-            tol = 10.0 * np.finfo(float).eps * max(E.shape) * np.linalg.norm(E, 1)
-            passive = u > 0.0
-            assert np.all(u >= 0.0)
-            assert np.all(gradient[~passive] <= tol)
-            assert np.all(np.abs(gradient[passive]) <= tol)
-
-    def test_target_in_negative_cone_gives_zero(self):
-        rng = np.random.default_rng(6)
-        E = rng.uniform(size=(12, 7))
-        f = -E @ rng.uniform(size=7)
-        np.testing.assert_array_equal(_nnls(E, f), np.zeros(7))
-
-    def test_iteration_cap_raises(self, monkeypatch):
-        # a triangular solve under which the column just added always comes
-        # out positive and the older ones negative: the older column blocks,
-        # leaves, and is taken back by the next outer step, so the method
-        # never settles. The solution is in entering order, so the newest
-        # column comes last; after a blocking step, which only removes
-        # columns, every coefficient comes out positive
-        sizes = [0]
-
-        def cycling_solve(R, b):
-            s = np.ones(b.size)
-            if b.size > sizes[-1]:
-                s[:-1] = -1.0
-            sizes.append(b.size)
-            return s
-
-        monkeypatch.setattr(np.linalg, "solve", cycling_solve)
-        with pytest.raises(RuntimeError, match="did not converge in 6 solves"):
-            _nnls(np.eye(2), np.ones(2))
-        assert sizes[1:] == [1, 2, 1, 2, 1, 2]
-
-    @pytest.mark.parametrize("seed", [12, 29, 32])
-    def test_dependent_column_stays_out(self, seed):
-        # the third column is the sum of the other two and the target lies
-        # far outside their span: once two columns are passive, rounding
-        # leaves the third a gradient above the tolerance (on these seeds),
-        # so it is chosen, and it must not enter, or the passive set loses
-        # column rank. Which two columns stay is not unique; the fit is
-        optimize = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(seed)
-        a, b = rng.normal(size=6), rng.normal(size=6)
-        E = np.column_stack((a, b, a + b))
-        f = rng.normal(size=6) * 1e12
-        u, expected = _nnls(E, f), optimize.nnls(E, f)[0]
-        tol = 10.0 * np.finfo(float).eps * max(E.shape) * np.linalg.norm(E, 1)
-        assert np.count_nonzero(u) == 2 and np.all(u >= 0.0)
-        assert np.all((E.T @ (f - E @ u))[u == 0.0] > tol)
-        np.testing.assert_allclose(E @ u, E @ expected, rtol=0.0, atol=1e-10 * np.abs(f).max())
-
-
-    def test_working_set_duals_match_scipy_on_the_residual(self, working_set_duals):
-        # their columns can be dependent (rank 8 of 10 at k=20), so the
-        # solution is not unique, but its residual is, and the polish reads
-        # only the residual. The target has norm 1
-        optimize = pytest.importorskip("scipy.optimize")
-        for E, f, start in working_set_duals:
-            u, expected = _nnls(E, f, start), optimize.nnls(E, f)[0]
-            assert np.all(u >= 0.0)
-            np.testing.assert_allclose(E @ u - f, E @ expected - f, rtol=0.0, atol=1e-14)
-
-    def test_warm_start_gives_the_cold_residual(self, polish_duals, working_set_duals):
-        problems = [*nnls_problems(), *polish_duals, *((E, f) for E, f, _ in working_set_duals)]
-        for E, f in problems:
-            u = _nnls(E, f)
-            warm = _nnls(E, f, np.flatnonzero(u > 0.0))
-            assert np.all(warm >= 0.0)
-            np.testing.assert_allclose(E @ warm - f, E @ u - f, rtol=0.0, atol=1e-12)
-        # a start whose least-squares coefficients are not all positive is
-        # dropped for a cold start
-        rng = np.random.default_rng(9)
-        E, f = rng.normal(size=(30, 20)), rng.normal(size=30)
-        assert (np.linalg.lstsq(E, f, rcond=None)[0] < 0.0).any()
-        np.testing.assert_array_equal(_nnls(E, f, np.arange(20)), _nnls(E, f))
-
-    def test_passive_set_beyond_initial_capacity(self):
-        # the factor's storage starts at 32 columns and doubles when full:
-        # here every one of the 90 columns ends up passive, so it grows to 64
-        # and then to the column count
-        optimize = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(8)
-        E = rng.normal(size=(120, 90))
-        f = E @ rng.uniform(0.5, 1.5, size=90) + rng.normal(scale=0.1, size=120)
-        u, expected = _nnls(E, f), optimize.nnls(E, f)[0]
-        assert np.count_nonzero(u) == 90
-        np.testing.assert_array_equal(u > 0.0, expected > 0.0)
-        np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max())
+    def test_binding_width_is_exactly_zero(self, table1):
+        # the hindi-panjabi chain's width binds: without the zeroing of held
+        # lengths, rounding leaves 3.08e-19 of it in tree_adjusted.json
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            polished = redistribute_residuals(build_dendrogram(table1)[0], table1)
+        chain = {n.id: n for n in polished.chain_nodes()}["n3"]
+        assert {chain.left.label, chain.right.label} == {"hindi", "panjabi"}
+        assert chain.width == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 397])
@@ -1089,33 +1040,12 @@ def test_lower_inverse(n):
     np.testing.assert_allclose(inverse, np.linalg.inv(L), rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("k, sd", [(20, 8.0), (50, 2.0), (50, 8.0), (200, 2.0), (200, 8.0)])
-def test_polish_does_not_depend_on_the_nnls_solver(k, sd, monkeypatch):
-    # the least-distance solution is recovered from the dual residual r as
-    # r[:-1] / |r|^2, which is as well determined as r itself; from r[-1]
-    # alone, a cancellation, the two solvers' rounding showed up a
-    # millionfold. The bound is relative to the longest length (about 140
-    # swadesh at k=200)
-    optimize = pytest.importorskip("scipy.optimize")
-    import isolect.reconstruct as reconstruct
-
-    rng = np.random.default_rng([k, int(sd)])
-    m = noisy_matrix(rng, horizontal_tree(rng, k), sd)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        greedy = build_dendrogram(m)[0]
-    polished = _paths(redistribute_residuals(greedy, m))[0]
-    monkeypatch.setattr(reconstruct, "_nnls", lambda E, f, start=(): optimize.nnls(E, f)[0])
-    expected = _paths(redistribute_residuals(greedy, m))[0]
-    np.testing.assert_allclose(polished, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
-
-
 @pytest.mark.parametrize("link", [True, False])
 @pytest.mark.parametrize("sd", [2.0, 8.0])
 def test_polish_equals_the_full_dual(sd, link):
-    # the polish solves on a working set of lengths; the optimum it finds
-    # must be that of every constraint, here from the whole dual solved by
-    # scipy, to the polish's reproducibility (1e-12 of the longest length)
+    # the optimum of the dual active-set polish must be that of the whole
+    # NNLS dual solved by scipy, to the polish's reproducibility (1e-12 of
+    # the longest length)
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng([int(sd), link])
     for k in (20, 50, 100, 200):
