@@ -8,20 +8,19 @@ segment, writing the segment's tag into the slots it replaces;
 import numpy as np
 
 
-def evolve_slots(parent, uniforms, prob, tag, out=None):
+def evolve_slots(parent, uniforms, prob, tag):
     """Advance one tree segment of the replacement process.
 
     A slot is replaced exactly when its uniform draw falls below ``prob``,
     and a replaced slot takes the value ``tag``, the segment's stepping
-    index. Returns the child, of the parent's dtype, written into ``out`` if
-    given.
+    index. Returns the child, a new array of the parent's dtype.
 
     ``tag`` must exceed every value in ``parent``, which holds when tags are
     handed out in stepping order: the replaced slots are then those where the
     tag is the larger value, and a maximum does the job of ``np.where``
     without its per-slot branch.
     """
-    child = np.empty_like(parent) if out is None else out
+    child = np.empty_like(parent)
     np.copyto(child, uniforms < prob)
     child *= tag
     return np.maximum(child, parent, out=child)

@@ -440,7 +440,7 @@ def main(argv=None) -> int:
         except (InputFormatError, DomainError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except (IsolectError, OSError) as exc:
+        except (IsolectError, OSError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

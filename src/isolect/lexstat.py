@@ -317,10 +317,15 @@ def _coincidence_from_classes(languages, classes) -> CoincidenceMatrix:
     counts: the simulator's segment tags count like a parsed table's int64
     class ids.
     """
-    n_eff = classes.shape[1]
+    return _coincidence_from_counts(
+        languages, _kernels.pair_shared_counts(classes), classes.shape[1]
+    )
+
+
+def _coincidence_from_counts(languages, counts, n_eff: int) -> CoincidenceMatrix:
+    """Coincidence matrix of per-pair shared-class counts over ``n_eff`` slots."""
     if n_eff == 0:
         raise InputFormatError("no slots left after excluding borrowed entries")
-    counts = _kernels.pair_shared_counts(classes)
     unshared = np.argwhere(np.triu(counts == 0, 1))
     if unshared.size:
         i, j = unshared[0]

@@ -8,14 +8,23 @@ segments of their width. Runs are deterministic given the seed: replicate
 sub-seeds come from a fixed splittable scheme, segments are visited in a
 canonical pre-order, and a segment's uniforms are drawn in slot order, so a
 config and replicate index give the same class matrix bit for bit on every
-run, whichever other replicates are run. The uniforms are drawn in blocks of
-``BLOCK`` slots into one reused buffer, each block stepped before the next is
-drawn; ``Generator.random`` fills its output in order, so the blocks draw the
-same stream as one call over all slots would.
+run, whichever other replicates are run.
 
-A recovery trial samples its replicates (class matrix and pair counts) on a
-pool of threads, one per usable CPU up to the replicate count; the draws and
-the ufuncs release the GIL. Each replicate reads only its own generator, so
+A replicate is stepped one block of ``BLOCK`` slots at a time: for each
+block, one walk of the tree steps every segment over that block alone. The
+segment with tag ``t`` draws slot ``j``'s uniform at offset
+``(t - 1) * slots + j`` of the replicate's one PCG64 stream, which is where
+one ``Generator.random`` call per segment over all slots would draw it, and
+the generator jumps there with ``advance`` in O(log n) steps. So the
+blocks draw the same numbers as an unblocked walk, and a replicate holds
+O(k * BLOCK) bytes of classes and uniforms however many slots it has.
+``simulate_cognacy`` writes each block's tags in place into the full
+(k, slots) table; a recovery trial adds each block's pair counts into one
+k x k count and reuses one (k, BLOCK) buffer.
+
+A recovery trial samples its replicates (tags and pair counts) on a pool of
+threads, one per usable CPU up to the replicate count; the draws and the
+ufuncs release the GIL. Each replicate reads only its own generator, so
 thread timing cannot change a draw, and the reconstruction and comparison
 run on the caller's thread in replicate order, so reports and warnings come
 out as they do serially. Below one block of slots the work is mostly Python
@@ -41,7 +50,7 @@ import numpy as np
 from . import _kernels
 from .dendrogram import Dendrogram, Leaf, RootLink, _leaf_positions, _paths, theoretical_matrix
 from .errors import DomainError
-from .lexstat import CognacyTable, _check_labels, _coincidence_from_classes
+from .lexstat import CognacyTable, _check_labels, _coincidence_from_counts
 from .reconstruct import build_dendrogram, redistribute_residuals
 
 __all__ = [
@@ -80,62 +89,79 @@ class SimulationConfig:
             object.__setattr__(self, name, int(value))
 
 
+def _tag_dtype(cfg: SimulationConfig):
+    """The narrowest unsigned dtype that holds every segment tag of ``cfg.tree``."""
+    root = cfg.tree.root
+    return np.min_scalar_type(3 * len(cfg.tree.chain_nodes()) + 2 * isinstance(root, RootLink))
+
+
 def _replicate_classes(cfg: SimulationConfig, replicate: int):
     """Evolve all slots for one replicate: ``(languages, classes)``.
 
     ``classes`` is the (k, slots) matrix of segment tags (see the module
-    docstring), rows in ``tree.leaves()`` order.
+    docstring), rows in ``tree.leaves()`` order, each block of slots written
+    into it in place.
+    """
+    classes = np.empty((cfg.tree.k, cfg.slots), dtype=_tag_dtype(cfg))
+    for _ in _tag_blocks(cfg, replicate, classes):
+        pass
+    return cfg.tree.leaves(), classes
 
-    Each stack entry holds a node, the classes of the point above it and the
-    segment lengths from that point down to the node's attach endpoint. A
-    chain's near child is stepped before its chain width and far side, and a
-    root link is crossed as two half-length verticals from one origin, left
-    before right, which preserves every leaf-to-leaf path. A point's class
-    array lives only in the entries that still need it. Each segment is
-    stepped in blocks of ``BLOCK`` slots and writes its one tag in every
-    block.
+
+def _tag_blocks(cfg: SimulationConfig, replicate: int, out):
+    """Step one replicate ``BLOCK`` slots at a time; yield each block's tags.
+
+    ``out`` is either the (k, slots) matrix, whose columns the blocks fill
+    in turn, or a (k, BLOCK) buffer that every block fills from its first
+    column; rows are in ``tree.leaves()`` order. Each yielded view of ``out``
+    holds one block's segment tags until the next block is stepped.
+
+    For each block one stack walk steps every segment. Each stack entry holds
+    a node, the block's classes at the point above it and the segment lengths
+    from that point down to the node's attach endpoint. A chain's near child
+    is stepped before its chain width and far side, and a root link is
+    crossed as two half-length verticals from one origin, left before right,
+    which preserves every leaf-to-leaf path. A point's class array lives
+    only in the entries that still need it. Each segment jumps the
+    generator to its block's stream offset (see the module docstring).
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(replicate,))
     )
-    languages = cfg.tree.leaves()
-    rows = {label: i for i, label in enumerate(languages)}
+    rows = {label: i for i, label in enumerate(cfg.tree.leaves())}
     root = cfg.tree.root
-    segments = 3 * len(cfg.tree.chain_nodes()) + 2 * isinstance(root, RootLink)
-    origin = np.zeros(cfg.slots, dtype=np.min_scalar_type(segments))
-    matrix = np.empty((len(languages), cfg.slots), dtype=origin.dtype)
-    if isinstance(root, RootLink):
-        half = (root.length / 2.0,)
-        stack = [(root.right, origin, half), (root.left, origin, half)]
-    else:
-        stack = [(root, origin, ())]
-    del origin
+    whole = out.shape[1] == cfg.slots
     uniforms = np.empty(min(cfg.slots, BLOCK))
-    tag = 0
-    while stack:
-        node, classes, lengths = stack.pop()
-        for length in lengths:
-            tag += 1
-            classes = _step(rng, classes, 1.0 - math.exp(-length / 100.0), tag, uniforms)
-        if isinstance(node, Leaf):
-            matrix[rows[node.label]] = classes
-        elif node.attach_side == "left":
-            stack.append((node.right, classes, (node.width, node.right_edge)))
-            stack.append((node.left, classes, (node.left_edge,)))
+    drawn = 0  # the stream offset of the next uniform
+    for start in range(0, cfg.slots, BLOCK):
+        size = min(BLOCK, cfg.slots - start)
+        tags = out[:, start : start + size] if whole else out[:, :size]
+        origin = np.zeros(size, dtype=out.dtype)
+        if isinstance(root, RootLink):
+            half = (root.length / 2.0,)
+            stack = [(root.right, origin, half), (root.left, origin, half)]
         else:
-            stack.append((node.left, classes, (node.width, node.left_edge)))
-            stack.append((node.right, classes, (node.right_edge,)))
-    return languages, matrix
-
-
-def _step(rng, parent, prob, tag, uniforms):
-    """Step ``parent`` down the segment tagged ``tag``, ``BLOCK`` slots at a time."""
-    child = np.empty_like(parent)
-    for start in range(0, parent.size, BLOCK):
-        block = slice(start, min(start + BLOCK, parent.size))
-        draws = rng.random(out=uniforms[: block.stop - start])
-        _kernels.evolve_slots(parent[block], draws, prob, tag, out=child[block])
-    return child
+            stack = [(root, origin, ())]
+        del origin
+        tag = 0
+        while stack:
+            node, classes, lengths = stack.pop()
+            for length in lengths:
+                at = tag * cfg.slots + start
+                rng.bit_generator.advance((at - drawn) % 2**128)  # a jump back wraps the period
+                drawn = at + size
+                tag += 1
+                draws = rng.random(out=uniforms[:size])
+                classes = _kernels.evolve_slots(classes, draws, 1.0 - math.exp(-length / 100.0), tag)
+            if isinstance(node, Leaf):
+                tags[rows[node.label]] = classes
+            elif node.attach_side == "left":
+                stack.append((node.right, classes, (node.width, node.right_edge)))
+                stack.append((node.left, classes, (node.left_edge,)))
+            else:
+                stack.append((node.left, classes, (node.width, node.left_edge)))
+                stack.append((node.right, classes, (node.right_edge,)))
+        yield tags
 
 
 def simulate_cognacy(cfg: SimulationConfig, replicate: int = 0) -> CognacyTable:
@@ -202,8 +228,9 @@ def recovery_trial(cfg: SimulationConfig, analytic: bool = False) -> RecoveryRep
 
     With ``analytic`` the sampling step is bypassed and the reconstruction
     runs on the tree's exact coincidence matrix (a noise-free sanity check,
-    one pseudo-replicate). Sampled replicates are counted straight from the
-    simulated class matrix; no slot names or ``CognacyTable`` are built.
+    one pseudo-replicate). Sampled replicates are counted block by block
+    from the simulated tags; no slot names, ``CognacyTable`` or (k, slots)
+    matrix are built.
     They are sampled on ``_workers(cfg)`` threads (see the module
     docstring), and each is reconstructed on this thread, in replicate order.
     """
@@ -242,7 +269,13 @@ def _workers(cfg: SimulationConfig) -> int:
 
 
 def _sample(cfg: SimulationConfig, replicate: int):
-    return _coincidence_from_classes(*_replicate_classes(cfg, replicate))
+    """Coincidence matrix of one replicate, counted block by block in one reused buffer."""
+    k = cfg.tree.k
+    buffer = np.empty((k, min(cfg.slots, BLOCK)), dtype=_tag_dtype(cfg))
+    counts = np.zeros((k, k), dtype=np.int64)
+    for tags in _tag_blocks(cfg, replicate, buffer):
+        counts += _kernels.pair_shared_counts(tags)
+    return _coincidence_from_counts(cfg.tree.leaves(), counts, cfg.slots)
 
 
 def _one_trial(cfg: SimulationConfig, measured, replicate: int) -> ReplicateRecovery:

@@ -347,6 +347,22 @@ class TestSimulate:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_table_too_large_to_allocate_exits_1(self, data_dir, tmp_path, capsys, monkeypatch):
+        # at 10**15 slots numpy raised its MemoryError through main as a
+        # traceback; the stand-in raises it without allocating anything
+        message = "Unable to allocate 909. TiB for an array with shape (4, 1000000000000000)"
+
+        def too_large(cfg, replicate=0):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("isolect.cli.simulate_cognacy", too_large)
+        out = tmp_path / "out"
+        assert run("simulate", "--input", data_dir / "sim4_config.json", "--out-dir", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("label", ["a,b", "x\ty", "#x"], ids=["comma", "tab", "hash"])
     def test_leaf_that_files_cannot_carry_exits_2(self, tmp_path, capsys, label):
         # such a leaf was written to cognacy.tsv and, through compare-borrowings,

@@ -24,9 +24,8 @@ class TestPythonKernels:
         # more than 255 segments: tags and the parent's values above 255 survive
         parent = np.array([0, 256, 300, 300], dtype=np.uint16)
         u = np.array([0.1, 0.9, 0.1, 0.9])
-        out = np.empty_like(parent)
-        child = _kernels.evolve_slots(parent, u, 0.5, 301, out=out)
-        assert child is out and child.dtype == np.uint16
+        child = _kernels.evolve_slots(parent, u, 0.5, 301)
+        assert child.dtype == np.uint16
         assert list(child) == [301, 256, 301, 300]
 
     def test_counts_small_case(self):

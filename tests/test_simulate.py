@@ -357,6 +357,31 @@ class TestBlockedDraws:
             assert blocked.dtype == whole.dtype == np.uint8
             assert blocked.tobytes() == whole.tobytes()
 
+    def test_sample_memory_does_not_grow_with_slots(self):
+        # a recovery trial's replicate holds one (k, BLOCK) block of one-byte
+        # tags, not a (k, slots) matrix: at 16 blocks that would be 52 MB
+        tree = random_tree(50, 50, True)
+        peaks = []
+        for blocks in (4, 16):
+            cfg = SimulationConfig(tree=tree, slots=blocks * BLOCK, seed=blocks)
+            tracemalloc.start()
+            try:
+                simulate._sample(cfg, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.05)
+        assert max(peaks) < 2 * tree.k * BLOCK
+
+    def test_sample_counts_what_the_whole_matrix_counts(self):
+        # the reused (k, BLOCK) buffer, its short last block included, gives
+        # the pair counts of the (k, slots) tag matrix
+        cfg = SimulationConfig(tree=random_tree(9, 9, True), slots=2 * BLOCK + 7, seed=7, replicates=2)
+        blocked = simulate._sample(cfg, 1)
+        whole = _coincidence_from_classes(*_replicate_classes(cfg, 1))
+        assert blocked.labels == whole.labels
+        assert blocked.values.tobytes() == whole.values.tobytes()
+
 
 def clamping_config(slots=BLOCK + 4464, replicates=3):
     """k = 20 with a root link: every replicate's build clamps some joins."""
@@ -406,16 +431,16 @@ class TestReplicatePool:
 
     @pytest.mark.parametrize("cpus", [1, 3], ids=["caller-thread", "pooled"])
     def test_sampling_error_in_replicate_one(self, monkeypatch, cpus):
-        # replicate 1's first two leaves share no class, so counting it fails
-        replicate_classes = simulate._replicate_classes
+        # replicate 1's first two leaves share no class in any block, so counting it fails
+        tag_blocks = simulate._tag_blocks
 
-        def disjoint(cfg, replicate):
-            languages, classes = replicate_classes(cfg, replicate)
-            if replicate == 1:
-                classes[0], classes[1] = 0, 1
-            return languages, classes
+        def disjoint(cfg, replicate, out):
+            for tags in tag_blocks(cfg, replicate, out):
+                if replicate == 1:
+                    tags[0], tags[1] = 0, 1
+                yield tags
 
-        monkeypatch.setattr(simulate, "_replicate_classes", disjoint)
+        monkeypatch.setattr(simulate, "_tag_blocks", disjoint)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
         cfg = clamping_config()
         assert _workers(cfg) == cpus
@@ -428,10 +453,14 @@ class TestReplicatePool:
             "coincidence of 0 has no finite distance"
         )
 
+    def test_cli_import_leaves_the_pool_unloaded(self):
+        # what a fresh process pays before any command: concurrent.futures
+        # costs about 9 ms, and the pool imports it only when a trial needs it
+        proc = fresh_python("import sys, isolect.cli\nprint('concurrent.futures' in sys.modules)")
+        assert proc.stdout.strip() == "False"
+
     def test_import_and_cli_trial_leave_the_pool_unloaded(self, data_dir, tmp_path):
         # the CLI's 10^4-slot trial is below one block and samples on the caller's thread
-        src = str(Path(simulate.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (
             "import sys, warnings, isolect, isolect.cli\n"
             "warnings.simplefilter('ignore')\n"
@@ -439,8 +468,13 @@ class TestReplicatePool:
             "assert isolect.cli.main(['simulate', '--input', sys.argv[1], '--out-dir', sys.argv[2]]) == 0\n"
             "print(loaded, 'concurrent.futures' in sys.modules)"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(data_dir / "sim4_config.json"), str(tmp_path)],
-            env=env, capture_output=True, text=True, check=True,
-        )
+        proc = fresh_python(code, data_dir / "sim4_config.json", tmp_path)
         assert proc.stdout.strip().splitlines()[-1] == "False False"
+
+
+def fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this package's source."""
+    src = str(Path(simulate.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, check=True)
