@@ -39,6 +39,14 @@ from .simulate import recovery_trial, simulate_cognacy
 __all__ = ["entry", "main"]
 
 
+def _count(args, table, exclude_borrowed: bool) -> CoincidenceMatrix:
+    """``coincidence_from_cognacy`` of the table read from ``args.input``, errors located."""
+    try:
+        return coincidence_from_cognacy(table, exclude_borrowed=exclude_borrowed)
+    except (DomainError, InputFormatError) as exc:
+        raise InputFormatError(f"{args.input}: {exc}") from None
+
+
 def _load_matrix(args) -> CoincidenceMatrix:
     if args.format == "matrix":
         m = treeio.read_coincidence_matrix(args.input)
@@ -48,8 +56,7 @@ def _load_matrix(args) -> CoincidenceMatrix:
                 "carry no borrowing flags)"
             )
     else:
-        table = treeio.read_cognacy_table(args.input)
-        m = coincidence_from_cognacy(table, exclude_borrowed=args.exclude_borrowed)
+        m = _count(args, treeio.read_cognacy_table(args.input), args.exclude_borrowed)
     if args.round_matrix:
         try:
             m = CoincidenceMatrix(m.labels, np.round(m.values), list_size=m.list_size)
@@ -241,7 +248,7 @@ def _build_variant(args, m: CoincidenceMatrix, tag: str) -> tuple:
 
 def cmd_compare_borrowings(args) -> list:
     table = treeio.read_cognacy_table(args.input)
-    m_all = coincidence_from_cognacy(table, exclude_borrowed=False)
+    m_all = _count(args, table, exclude_borrowed=False)
     n3 = table.borrowed_slot_count()
     tree_all, outputs = _build_variant(args, m_all, "included")
     if n3 == 0:
@@ -250,7 +257,7 @@ def cmd_compare_borrowings(args) -> list:
             file=sys.stderr,
         )
         return outputs
-    m_excl = coincidence_from_cognacy(table, exclude_borrowed=True)
+    m_excl = _count(args, table, exclude_borrowed=True)
     tree_excl, excluded = _build_variant(args, m_excl, "excluded")
     outputs += excluded
 

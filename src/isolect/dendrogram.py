@@ -214,14 +214,6 @@ class Dendrogram:
         leaves, chains, spans = self._order
         return {node.id: frozenset(leaves[lo:hi]) for node, (lo, _, hi) in zip(chains, spans)}
 
-    def topology_signature(self) -> frozenset:
-        """Hashable summary of the branching structure, lengths ignored."""
-        parts = set(self.clades().values())
-        if isinstance(self.root, RootLink):
-            leaves, mid = self._order[0], self._order[2][-1][1]
-            parts.add(frozenset((frozenset(leaves[:mid]), frozenset(leaves[mid:]))))
-        return frozenset(parts)
-
 
 def attach_depth(node: Node) -> float:
     """Depth (swadesh before present) of the endpoint carrying the parent edge."""
@@ -415,9 +407,8 @@ class FitReport:
 
     ``measured`` is the coincidence matrix the tree was compared against.
     The six per-pair fields are float arrays over its pairs in row-major
-    ``i < j`` order; ``pairs`` gives the ``(label_a, label_b)`` tuples in that
-    order, built on first access and kept on the matrix, so that reports on
-    one matrix share them. Residuals are theoretical minus measured, in
+    ``i < j`` order; ``pairs`` builds the ``(label_a, label_b)`` tuples in that
+    order each time it is read. Residuals are theoretical minus measured, in
     swadesh units and in coincidence percent. Equality is identity
     (``eq=False``), since ``==`` on the array fields would raise.
     """
@@ -436,10 +427,7 @@ class FitReport:
 
     @property
     def pairs(self) -> tuple:
-        m = self.measured
-        if m._pairs is None:  # built once per matrix
-            object.__setattr__(m, "_pairs", tuple(itertools.combinations(m.labels, 2)))
-        return m._pairs
+        return tuple(itertools.combinations(self.measured.labels, 2))
 
 
 def fit_report(d: Dendrogram, measured: CoincidenceMatrix) -> FitReport:

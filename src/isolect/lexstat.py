@@ -137,16 +137,17 @@ class CoincidenceMatrix:
     list_size: int = 100
     # the swadesh distances, filled in by the first ``distance_matrix(self)``
     _distances: np.ndarray = field(default=None, init=False, repr=False)
-    # the label pairs in row-major i < j order, filled in by the first ``FitReport.pairs``
-    _pairs: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         labels = _check_labels(self.labels)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", _symmetric_array(labels, self.values))
-        if int(self.list_size) <= 0:
-            raise DomainError(f"list_size must be positive, got {self.list_size!r}")
-        object.__setattr__(self, "list_size", int(self.list_size))
+        size = self.list_size
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+            raise DomainError(f"list_size must be an integer, got {size!r}")
+        if size <= 0:
+            raise DomainError(f"list_size must be positive, got {size!r}")
+        object.__setattr__(self, "list_size", int(size))
 
     @property
     def k(self) -> int:
@@ -287,12 +288,6 @@ class CognacyTable:
         """Number of distinct slots flagged as borrowed in any language."""
         return int(np.count_nonzero(self.borrowed.any(axis=0)))
 
-    def iter_rows(self):
-        """Yield (language, slot, class_token, borrowed) rows, language-major."""
-        for language, ids, flags in zip(self.languages, self.class_ids, self.borrowed):
-            for slot, cid, flag in zip(self.slots, ids.tolist(), flags.tolist()):
-                yield language, slot, f"c{cid}", flag
-
 
 def coincidence_from_cognacy(
     table: CognacyTable, exclude_borrowed: bool = False
@@ -302,24 +297,14 @@ def coincidence_from_cognacy(
     A table is complete, so every slot counts for every pair. With
     ``exclude_borrowed`` every slot flagged as borrowed in any language is
     dropped for all languages, and the effective list size shrinks
-    accordingly. Values are real percentages, never rounded.
+    accordingly. Values are real percentages, never rounded. Only equality
+    within a slot column counts, in any integer dtype.
     """
     classes = table.class_ids
     if exclude_borrowed:
         classes = classes[:, ~table.borrowed.any(axis=0)]
-    return _coincidence_from_classes(table.languages, classes)
-
-
-def _coincidence_from_classes(languages, classes) -> CoincidenceMatrix:
-    """Coincidence matrix of a (languages x slots) class matrix with no missing entries.
-
-    Any integer dtype is accepted, and only equality within a slot column
-    counts: the simulator's segment tags count like a parsed table's int64
-    class ids.
-    """
-    return _coincidence_from_counts(
-        languages, _kernels.pair_shared_counts(classes), classes.shape[1]
-    )
+    counts = _kernels.pair_shared_counts(classes)
+    return _coincidence_from_counts(table.languages, counts, classes.shape[1])
 
 
 def _coincidence_from_counts(languages, counts, n_eff: int) -> CoincidenceMatrix:

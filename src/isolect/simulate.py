@@ -197,22 +197,18 @@ class RecoveryReport:
     worst_path_error: float
 
 
-def _compare_lengths(truth: Dendrogram, recon: Dendrogram) -> float:
+def _compare_lengths(truth: Dendrogram, recon: Dendrogram, chains: dict) -> float:
     """Max absolute difference of matched free lengths (requires same topology).
 
-    Chain nodes are matched by their leaf clades; verticals are compared as
+    ``chains`` maps each clade of ``recon`` to its chain node, and truth's
+    chain nodes are matched by their clades; verticals are compared as
     sorted pairs because the builder may mirror left and right.
     """
-    recon_by_clade = dict(zip(recon.clades().values(), recon.chain_nodes()))
     worst = 0.0
     for clade, tn in zip(truth.clades().values(), truth.chain_nodes()):
-        rn = recon_by_clade[clade]
-        worst = max(worst, abs(tn.width - rn.width))
-        for tv, rv in zip(
-            sorted((tn.left_edge, tn.right_edge)),
-            sorted((rn.left_edge, rn.right_edge)),
-        ):
-            worst = max(worst, abs(tv - rv))
+        rn = chains[clade]
+        edges = zip(sorted((tn.left_edge, tn.right_edge)), sorted((rn.left_edge, rn.right_edge)))
+        worst = max(worst, abs(tn.width - rn.width), *(abs(tv - rv) for tv, rv in edges))
     if isinstance(truth.root, RootLink) and isinstance(recon.root, RootLink):
         worst = max(worst, abs(truth.root.length - recon.root.length))
     return worst
@@ -281,8 +277,10 @@ def _sample(cfg: SimulationConfig, replicate: int):
 def _one_trial(cfg: SimulationConfig, measured, replicate: int) -> ReplicateRecovery:
     tree, _ = build_dendrogram(measured)
     tree = redistribute_residuals(tree, measured)
-    match = tree.topology_signature() == cfg.tree.topology_signature()
-    length_error = _compare_lengths(cfg.tree, tree) if match else math.inf
+    # equal sets of rooted clades are equal topologies (Robinson & Foulds 1981)
+    chains = dict(zip(tree.clades().values(), tree.chain_nodes()))
+    match = chains.keys() == set(cfg.tree.clades().values())
+    length_error = _compare_lengths(cfg.tree, tree, chains) if match else math.inf
     return ReplicateRecovery(
         replicate=replicate,
         topology_match=match,

@@ -197,10 +197,16 @@ def read_cognacy_table(path) -> CognacyTable:
 
 
 def write_cognacy_table(table: CognacyTable, path) -> None:
-    lines = ["language\tslot\tclass\tborrowed"]
-    for language, slot, token, borrowed in table.iter_rows():
-        lines.append(f"{language}\t{slot}\t{token}\t{1 if borrowed else 0}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Stream ``table``'s rows to ``path`` language by language, class id ``N`` as ``cN``."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("language\tslot\tclass\tborrowed\n")
+        for language, ids, flags in zip(table.languages, table.class_ids, table.borrowed):
+            distinct, inverse = np.unique(ids, return_inverse=True)
+            tails = [f"c{cid}\t{flag}\n" for cid in distinct.tolist() for flag in (0, 1)]
+            f.writelines(
+                f"{language}\t{slot}\t{tails[code]}"
+                for slot, code in zip(table.slots, (2 * inverse + flags).tolist())
+            )
 
 
 def _node_to_dict(node) -> dict:

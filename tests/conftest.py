@@ -68,6 +68,11 @@ def two_cherry_tree() -> Dendrogram:
     return Dendrogram(RootLink(length=30.0, left=cherry1, right=cherry2))
 
 
+def clade_set(tree: Dendrogram) -> frozenset:
+    """The leaf sets below ``tree``'s chains: equal sets mean one rooted topology."""
+    return frozenset(tree.clades().values())
+
+
 def make_deep_caterpillar(attach_side: str = "left") -> Dendrogram:
     """A root link over a caterpillar nested deeper than the recursion limit.
 

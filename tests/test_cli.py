@@ -208,6 +208,19 @@ class TestBuild:
         src.write_text("p\np,-\n")
         assert run("build", "--input", src, "--out-dir", tmp_path / "out") == 2
 
+    def test_cognacy_pair_sharing_nothing_names_the_file(self, tmp_path, capsys):
+        src = tmp_path / "cognacy.tsv"
+        src.write_text("language\tslot\tclass\tborrowed\nx\ts0\tc1\t0\ny\ts0\tc2\t0\n")
+        out = tmp_path / "out"
+        assert run("build", "--format", "cognacy", "--input", src, "--out-dir", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {src}: pair (x, y) shares no cognate classes; "
+            "coincidence of 0 has no finite distance\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestCompareBorrowings:
     def test_synthetic_shift(self, borrowing_table, tmp_path):
@@ -249,7 +262,7 @@ class TestCompareBorrowings:
         out = tmp_path / "out"
         assert run("compare-borrowings", "--input", src, "--out-dir", out) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: no slots left after excluding borrowed entries\n"
+        assert captured.err == f"error: {src}: no slots left after excluding borrowed entries\n"
         assert captured.out == ""
         assert not out.exists()
 

