@@ -103,8 +103,12 @@ def _symmetric_array(labels, values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.shape != (k, k):
         raise DomainError(f"coincidence matrix must be {k}x{k}, got shape {arr.shape}")
-    asymmetric = ~np.isclose(arr, arr.T, rtol=0.0, atol=1e-9)
     with np.errstate(invalid="ignore"):
+        # np.isclose(arr, arr.T, rtol=0.0, atol=1e-9) with one k x k temporary:
+        # equal infinities are close, and NaN is close to nothing
+        gap = arr - arr.T
+        asymmetric = ~(np.abs(gap, out=gap) <= 1e-9) & (arr != arr.T)
+        del gap
         invalid = ~(np.isfinite(arr) & (arr > 0.0) & (arr <= 100.0))
     bad = np.argwhere(np.triu(asymmetric | invalid, 1))
     if bad.size:

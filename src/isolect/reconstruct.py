@@ -326,15 +326,10 @@ def _normal_equations(d: Dendrogram, distances: np.ndarray) -> tuple:
     start, stop, _ = np.array(runs, dtype=float).reshape(-1, 3).T
 
     def overlap(first, last):  # leaves shared by each run [first, last) and each width
-        return np.maximum(np.minimum(last[:, None], stop) - np.maximum(first[:, None], start), 0.0)
+        shared = np.minimum(last[:, None], stop)
+        shared -= np.maximum(first[:, None], start)
+        return np.maximum(shared, 0.0, out=shared)
 
-    size_l, size_r = mid - lo, hi - mid
-    a, b = overlap(lo, mid), overlap(mid, hi)
-    across = a * (size_r[:, None] - b) + (size_l[:, None] - a) * b  # meets x widths
-    # widths W and V both separate |W&V| |~W&~V| + |W&~V| |~W&V| pairs
-    both = overlap(start, stop)
-    size = np.diag(both)
-    only_w, only_v = size[:, None] - both, size[None, :] - both
     # per meet the distances over L x R, then per width over W x ~W; inside[i]
     # sums the pairs that meet below chain i, and a leaf (-1) has none
     rows = distances.sum(axis=1)
@@ -345,16 +340,39 @@ def _normal_equations(d: Dendrogram, distances: np.ndarray) -> tuple:
     widths = [float(rows[first:last].sum()) - 2.0 * inside[far] for first, last, far in runs]
     sums = np.array(meets + widths)
 
+    # the counts are built in place in normal's blocks, each overlap dropped
+    # once used: first the meets x widths block, whose root-link row is kept
+    # aside before the width block covers it
     normal = np.zeros((2 * n + link,) * 2)
-    normal[:n, :n] = np.diag(4.0 * size_l[:n] * size_r[:n])
-    normal[:n, n : 2 * n] = 2.0 * across[:n]
-    normal[n : 2 * n, n : 2 * n] = both * (k - only_w - only_v - both) + only_w * only_v
+    size_l, size_r = mid - lo, hi - mid
+    across = normal[: n + link, n : 2 * n]
+    a, b = overlap(lo, mid), overlap(mid, hi)
+    np.subtract(size_r[:, None], b, out=across)
+    across *= a
+    np.subtract(size_l[:, None], a, out=a)
+    a *= b
+    across += a
+    del a, b
+    link_across = across[n:].copy()
+    across[:n] *= 2.0
+    # widths W and V both separate |W&V| |~W&~V| + |W&~V| |~W&V| pairs; the
+    # overlaps are symmetric, so |~W&V| is the transpose of |W&~V|
+    both = overlap(start, stop)
+    only_w = np.diag(both)[:, None] - both
+    block = normal[n : 2 * n, n : 2 * n]
+    np.subtract(k, only_w, out=block)
+    block -= only_w.T
+    block -= both
+    block *= both
+    del both
+    block += only_w * only_w.T
+    np.fill_diagonal(normal[:n, :n], 4.0 * size_l[:n] * size_r[:n])
     rhs = np.concatenate((2.0 * sums[:n], sums[n + link :], [0.0] * link))
     if link:
         top = [position[id(c)] for c in (d.root.left, d.root.right) if id(c) in position]
         top.append(2 * n)
         normal[np.ix_(top, top)] += size_l[n] * size_r[n]
-        normal[top, n : 2 * n] += across[n]
+        normal[top, n : 2 * n] += link_across
         rhs[top] += sums[n]
     # the width rows mirror the width columns (levels and the root link)
     normal[n : 2 * n, :n] = normal[:n, n : 2 * n].T
@@ -491,21 +509,21 @@ def _least_distance(inverse: np.ndarray, c: np.ndarray, index: tuple, held: np.n
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """The inverse of a lower-triangular matrix, by halves.
+    """Invert the lower-triangular ``L`` in place, by halves, and return it.
 
     ``inv([[A, 0], [B, C]]) = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]``, so the
-    work is two half-size inverses and two products of triangles; blocks of
-    at most 64 rows go to ``np.linalg.inv``.
+    work is two half-size inverses, each written over its block, and two
+    products of triangles, written over ``B``; blocks of at most 64 rows go
+    to ``np.linalg.inv``.
     """
     n = len(L)
     if n <= 64:
-        return np.linalg.inv(L)
+        L[:] = np.linalg.inv(L)
+        return L
     h = n // 2
-    out = np.zeros_like(L)
-    out[:h, :h] = _lower_inverse(L[:h, :h])
-    out[h:, h:] = _lower_inverse(L[h:, h:])
-    out[h:, :h] = -out[h:, h:] @ (L[h:, :h] @ out[:h, :h])
-    return out
+    A, B, C = _lower_inverse(L[:h, :h]), L[h:, :h], _lower_inverse(L[h:, h:])
+    B[:] = -C @ (B @ A)
+    return L
 
 
 def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendrogram:
@@ -527,9 +545,13 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     side, it is the least-distance program min ``|w|`` over ``w = R y - c``
     with one constraint per free length (Lawson & Hanson 1974, ch. 23),
     solved by ``_least_distance``. Few lengths bind: at k=200 about 45 of
-    595. A length held at zero comes out exactly zero: a width, a root link
-    or a vertical above a leaf is set to it, and a chain held on a child
-    chain is put at the level of its highest child.
+    595. The polish holds its factor once: the normal matrix, whose counts
+    are built in place, is dropped as soon as it is factored, and the factor
+    is inverted in place (``_lower_inverse``). So at most two N x N arrays
+    live at once, during the factorization; the traced peak is about 2.5
+    N x N doubles. A length held at zero comes out exactly zero: a width, a
+    root link or a vertical above a leaf is set to it, and a chain held on a
+    child chain is put at the level of its highest child.
 
     Returns the input tree unchanged when the sum of squares does not
     improve.
@@ -542,8 +564,11 @@ def redistribute_residuals(d: Dendrogram, measured: CoincidenceMatrix) -> Dendro
     measured_paths[np.ix_(at, at)] = distance_matrix(measured)
 
     normal, rhs, index, held = _normal_equations(d, measured_paths)
-    # R^-T, the inverse of the Cholesky factor of the normal matrix, for c and y
-    inverse = _lower_inverse(np.linalg.cholesky(normal))
+    # R^-T, the inverse of the Cholesky factor of the normal matrix, for c and
+    # y, written over the factor once the normal matrix is gone
+    factor = np.linalg.cholesky(normal)
+    del normal
+    inverse = _lower_inverse(factor)
     c = inverse @ rhs
     y, bound = _least_distance(inverse, c, index, held)
     # lengths held at zero come out exactly zero: a held width, root link or

@@ -3,7 +3,12 @@
 Matrix files: first non-comment line holds comma-separated language labels;
 each following line repeats a label and gives k comma-separated values with
 ``-`` on the diagonal. Comment lines start with ``#``; the directive
-``#list_size=N`` sets the basic-list size.
+``#list_size=N`` (at most once, with spaces allowed around ``=``) sets the
+basic-list size. The reader allocates the k x k values once the header is
+read and converts each row into them as soon as it is split, so it holds
+one row's fields at a time; the first faulty row's error waits until the
+row count is known to be right, and rows past k are counted, not parsed.
+The writer streams one row at a time.
 
 Cognacy files: tab-separated with a required header row
 ``language<TAB>slot<TAB>class<TAB>borrowed`` and 0/1 borrowed flags. Every
@@ -49,10 +54,8 @@ __all__ = [
 
 
 def parse_coincidence_matrix(text: str, source: str = "<string>") -> CoincidenceMatrix:
-    list_size = None
-    rows = []
-    header = None
-    header_line = None
+    list_size = list_size_line = header = header_line = error = None
+    count = 0  # value rows after the header
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -60,55 +63,72 @@ def parse_coincidence_matrix(text: str, source: str = "<string>") -> Coincidence
         if line.startswith("#"):
             directive = line[1:].strip()
             if directive.startswith("list_size"):
-                _, _, value = directive.partition("=")
+                key, _, value = directive.partition("=")
                 try:
+                    if key.rstrip() != "list_size":
+                        raise ValueError
                     list_size = int(value.strip())
                 except ValueError:
                     raise InputFormatError(
                         f"{source}, line {lineno}: bad list_size directive {line!r}"
                     ) from None
+                if list_size_line is not None:
+                    raise InputFormatError(
+                        f"{source}, line {lineno}: repeated list_size directive "
+                        f"(first on line {list_size_line})"
+                    )
+                list_size_line = lineno
             continue
         if header is None:
             header = [label.strip() for label in line.split(",")]
-            header_line = lineno
+            header_line, k = lineno, len(header)
+            values = np.empty((k, k))
             continue
-        rows.append((lineno, line.split(",")))
+        # each row is converted as it is read; rows past k are only counted,
+        # and the first row error waits until the row count is known to be k
+        if count < k and error is None:
+            error = _read_row(line.split(","), header, count, values[count], source, lineno)
+        count += 1
     if header is None:
         raise InputFormatError(f"{source}: no label header found")
-    k = len(header)
-    if len(rows) != k:
+    if count != k:
         raise InputFormatError(
             f"{source}: expected {k} value rows after the header "
-            f"(line {header_line}), found {len(rows)}"
+            f"(line {header_line}), found {count}"
         )
-    values = np.empty((k, k))
-    for i, (lineno, fields) in enumerate(rows):
-        if len(fields) != k + 1:
-            raise InputFormatError(
-                f"{source}, line {lineno}: expected label plus {k} values, "
-                f"got {len(fields)} fields"
-            )
-        label = fields[0].strip()
-        if label != header[i]:
-            raise InputFormatError(
-                f"{source}, line {lineno}: row label {label!r} does not match "
-                f"header label {header[i]!r} (rows must follow header order)"
-            )
-        # float() ignores the whitespace around a number, so only the label
-        # and the diagonal are stripped; the diagonal reads as NaN
-        cells = fields[1:]
-        try:
-            if cells[i].strip() != "-":
-                raise ValueError
-            cells[i] = "nan"
-            values[i] = list(map(float, cells))
-        except ValueError:
-            raise _cell_error(source, lineno, i, [cell.strip() for cell in fields[1:]]) from None
+    if error is not None:
+        raise error from None
     kwargs = {"list_size": list_size} if list_size is not None else {}
     try:
         return CoincidenceMatrix(tuple(header), values, **kwargs)
     except DomainError as exc:
         raise InputFormatError(f"{source}: {exc}") from None
+
+
+def _read_row(fields: list, header: list, i: int, out: np.ndarray, source: str, lineno: int):
+    """Convert value row ``i``'s ``fields`` into ``out``; its located error, or None."""
+    if len(fields) != len(header) + 1:
+        return InputFormatError(
+            f"{source}, line {lineno}: expected label plus {len(header)} values, "
+            f"got {len(fields)} fields"
+        )
+    label = fields[0].strip()
+    if label != header[i]:
+        return InputFormatError(
+            f"{source}, line {lineno}: row label {label!r} does not match "
+            f"header label {header[i]!r} (rows must follow header order)"
+        )
+    # float() ignores the whitespace around a number, so only the label
+    # and the diagonal are stripped; the diagonal reads as NaN
+    cells = fields[1:]
+    try:
+        if cells[i].strip() != "-":
+            raise ValueError
+        cells[i] = "nan"
+        out[:] = list(map(float, cells))
+    except ValueError:
+        return _cell_error(source, lineno, i, [cell.strip() for cell in fields[1:]])
+    return None
 
 
 def _cell_error(source: str, lineno: int, i: int, cells: list) -> InputFormatError:
@@ -143,13 +163,13 @@ def read_coincidence_matrix(path) -> CoincidenceMatrix:
 
 
 def write_coincidence_matrix(m: CoincidenceMatrix, path) -> None:
-    lines = [f"#list_size={m.list_size}", ",".join(m.labels)]
-    for i, label in enumerate(m.labels):
-        cells = [label]
-        for j in range(m.k):
-            cells.append("-" if i == j else f"{m.values[i, j]:.3f}")
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Stream ``m`` to ``path`` one row at a time, values to three decimals."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"#list_size={m.list_size}\n{','.join(m.labels)}\n")
+        for i, (label, row) in enumerate(zip(m.labels, m.values)):
+            cells = [f"{value:.3f}" for value in row.tolist()]
+            cells[i] = "-"
+            f.write(f"{label},{','.join(cells)}\n")
 
 
 def parse_cognacy_table(text: str, source: str = "<string>") -> CognacyTable:

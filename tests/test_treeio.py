@@ -124,6 +124,113 @@ class TestMatrixFormat:
             parse_coincidence_matrix(text, source="bad.csv")
         assert str(err.value) == f"bad.csv, {message}"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,y\nx,-,fifty\n",
+             "bad.csv: expected 2 value rows after the header (line 1), found 1"),
+            ("x,y\nx,-,fifty\ny,50,-\nz,50,50\n",
+             "bad.csv: expected 2 value rows after the header (line 1), found 3"),
+            ("x,y\nx,-,50\ny,50,-\nz,50,50,-\nnot,a,row,at,all\n",
+             "bad.csv: expected 2 value rows after the header (line 1), found 4"),
+            ("x,y,z\nx,-,50\ny,50,-,oops\nq,50,50,-\n",
+             "bad.csv, line 2: expected label plus 3 values, got 3 fields"),
+            ("x,y,z\nx,-,50,50\nq,50,-,50\nz,50,50,zero\n",
+             "bad.csv, line 3: row label 'q' does not match header label 'y' "
+             "(rows must follow header order)"),
+            ("x,y,z\nx,-,50, fifty \ny,50,-\nz,50,50,0\n",
+             "bad.csv, line 2, column 4: not a number: 'fifty'"),
+            ("# c\nx,y\n\n# between\nx,-,50\n  \ny,fifty,-\n",
+             "bad.csv, line 7, column 2: not a number: 'fifty'"),
+            ("x,y\nx,-,fifty\ny,50,-\n#list_size=abc\n",
+             "bad.csv, line 4: bad list_size directive '#list_size=abc'"),
+        ],
+        ids=["count-over-bad-cell", "extra-row-over-bad-cell", "extra-rows", "first-row-wins",
+             "label-before-later-cell", "cells-in-column-order", "comments-between-rows",
+             "directive-where-read"],
+    )
+    def test_error_precedence(self, text, message):
+        # the row count is checked before any row's fault; of the rows, the
+        # first faulty one is reported; a directive fails on its own line
+        with pytest.raises(InputFormatError) as err:
+            parse_coincidence_matrix(text, source="bad.csv")
+        assert str(err.value) == message
+
+    def test_comments_and_blank_lines_between_rows(self):
+        text = "x,y,z\n# note\nx,-,50,60\n\n  # list_size = 30 \ny,50,-,70\n\nz,60,70,-\n"
+        m = parse_coincidence_matrix(text)
+        assert m.list_size == 30
+        expected = [[np.nan, 50, 60], [50, np.nan, 70], [60, 70, np.nan]]
+        np.testing.assert_array_equal(m.values, expected)
+
+    @pytest.mark.parametrize("line", ["#list_sizes=7", "#list_size_max=3", "#list_size 7",
+                                      "#list_size"])
+    def test_directive_key_must_be_list_size(self, line):
+        with pytest.raises(InputFormatError) as err:
+            parse_coincidence_matrix(f"x,y\n{line}\nx,-,50\ny,50,-\n", source="bad.csv")
+        assert str(err.value) == f"bad.csv, line 2: bad list_size directive {line!r}"
+
+    @pytest.mark.parametrize("line", ["#list_size=7", "# list_size = 7", "#list_size =7 "])
+    def test_directive_spacing(self, line):
+        assert parse_coincidence_matrix(f"{line}\nx,y\nx,-,50\ny,50,-\n").list_size == 7
+
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            ("#list_size=7\n#list_size=7\nx,y\nx,-,50\ny,50,-\n", (2, 1)),
+            ("#list_size=7\nx,y\nx,-,50\ny,50,-\n# list_size = 8\n", (5, 1)),
+            ("x,y\n#list_size=7\nx,-,50\n#list_size=8\ny,50,-\n", (4, 2)),
+        ],
+        ids=["before-header", "after-rows", "between-rows"],
+    )
+    def test_repeated_directive_names_both_lines(self, text, lines):
+        with pytest.raises(InputFormatError) as err:
+            parse_coincidence_matrix(text, source="bad.csv")
+        assert str(err.value) == (
+            f"bad.csv, line {lines[0]}: repeated list_size directive (first on line {lines[1]})"
+        )
+
+    def test_written_text(self, tmp_path):
+        m = CoincidenceMatrix(("a", "b c", "d"), np.array(
+            [[np.nan, 80.0, 70.12345], [80.0, np.nan, 0.0005], [70.12345, 0.0005, np.nan]]),
+            list_size=94)
+        path = tmp_path / "m.csv"
+        write_coincidence_matrix(m, path)
+        assert path.read_bytes() == (
+            b"#list_size=94\na,b c,d\n"
+            b"a,-,80.000,70.123\nb c,80.000,-,0.001\nd,70.123,0.001,-\n"
+        )
+
+    @staticmethod
+    def random_matrix(k, seed):
+        values = np.random.default_rng(seed).uniform(1.0, 100.0, size=(k, k))
+        return CoincidenceMatrix(tuple(f"L{i:03d}" for i in range(k)), (values + values.T) / 2.0)
+
+    def test_writer_memory_does_not_grow_with_the_matrix(self, tmp_path):
+        # rows are streamed: joining the whole text first peaked at 1.9 MB here
+        m = self.random_matrix(300, 30)
+        tracemalloc.start()
+        try:
+            write_coincidence_matrix(m, tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
+
+    def test_reader_holds_one_row_of_fields(self, tmp_path):
+        # each row is converted as it is read: holding every cell as a string
+        # until the last row peaked at 12.6 times the k^2 values
+        k = 300
+        path = tmp_path / "m.csv"
+        write_coincidence_matrix(self.random_matrix(k, 31), path)
+        tracemalloc.start()
+        try:
+            read_coincidence_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * k * k * 8
+
 
 GOOD_COGNACY = """\
 language\tslot\tclass\tborrowed
