@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .lexstat import _check_length, _check_positive
 
 __all__ = [
     "CurveSample",
@@ -50,39 +51,29 @@ class DecayParams:
     shift: float = DEFAULT_SHIFT
 
     def __post_init__(self):
-        if not math.isfinite(self.rate) or self.rate <= 0.0:
-            raise DomainError(f"rate must be positive, got {self.rate!r}")
-        if not math.isfinite(self.alpha) or self.alpha <= 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha!r}")
-        if not math.isfinite(self.shift) or self.shift < 0.0:
-            raise DomainError(f"shift must be >= 0, got {self.shift!r}")
-
-
-def _check_distance(l: float) -> float:
-    l = float(l)
-    if not math.isfinite(l) or l < 0.0:
-        raise DomainError(f"swadesh distance must be finite and >= 0, got {l!r}")
-    return l
+        _check_positive(self.rate, "rate")
+        _check_positive(self.alpha, "alpha")
+        _check_length(self.shift, "shift")
 
 
 def time_linear(l: float, p: DecayParams) -> float:
     """Constant-rate law: t = L / (100 * rate)."""
-    return _check_distance(l) / (100.0 * p.rate)
+    return _check_length(l, "swadesh distance") / (100.0 * p.rate)
 
 
 def time_linear_shifted(l: float, p: DecayParams) -> float:
     """True age of a borrowing-excluded distance: t = (L + shift) / (100 * rate)."""
-    return (_check_distance(l) + p.shift) / (100.0 * p.rate)
+    return (_check_length(l, "swadesh distance") + p.shift) / (100.0 * p.rate)
 
 
 def time_quadratic(l: float, p: DecayParams) -> float:
     """Word-aging law c = exp(-rate * t^2): t = sqrt(L / (100 * rate))."""
-    return math.sqrt(_check_distance(l) / (100.0 * p.rate))
+    return math.sqrt(_check_length(l, "swadesh distance") / (100.0 * p.rate))
 
 
 def time_starostin(l: float, p: DecayParams) -> float:
     """Retention-corrected aging law: t = exp(0.005 L) * sqrt(L / (100 * rate))."""
-    l = _check_distance(l)
+    l = _check_length(l, "swadesh distance")
     return math.exp(0.005 * l) * math.sqrt(l / (100.0 * p.rate))
 
 
@@ -110,9 +101,7 @@ def decay_rate(t: float, p: DecayParams) -> float:
     At t = 0 this is -rate for alpha = 1, zero for alpha > 1 and negative
     infinity for alpha < 1.
     """
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"time must be finite and >= 0, got {t!r}")
+    t = _check_length(t, "time")
     if t == 0.0:
         if p.alpha > 1.0:
             return 0.0
@@ -130,8 +119,7 @@ def classify_initial_rate(alpha: float) -> str:
 
     Only alpha = 1 yields a finite nonzero initial replacement speed.
     """
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    _check_positive(alpha, "alpha")
     if alpha > 1.0:
         return "zero"
     if alpha == 1.0:
@@ -169,8 +157,7 @@ def refit_rate(p: DecayParams, t0: float = 1.0) -> float:
     line through the origin and that point needs the smaller rate
     rate - shift / (100 * t0).
     """
-    if not math.isfinite(t0) or t0 <= 0.0:
-        raise DomainError(f"anchor time must be positive, got {t0!r}")
+    _check_positive(t0, "anchor time")
     reduced = p.rate - p.shift / (100.0 * t0)
     if reduced <= 0.0:
         raise DomainError(
@@ -191,7 +178,7 @@ def calibration_laws(p: DecayParams, t0: float = 1.0) -> tuple:
     return (
         lambda l: time_linear(l, p),
         lambda l: time_linear_shifted(l, p),
-        lambda l: _check_distance(l) / (100.0 * reduced),
+        lambda l: _check_length(l, "swadesh distance") / (100.0 * reduced),
         lambda l: time_quadratic(l, p),
         lambda l: time_starostin(l, p),
     )
@@ -201,10 +188,8 @@ def sample_curves(
     l_max: float, step: float, p: DecayParams, t0: float = 1.0
 ) -> tuple:
     """Sample the five ``calibration_laws`` on a common grid for plotting."""
-    if not math.isfinite(l_max) or l_max <= 0.0:
-        raise DomainError(f"l_max must be positive, got {l_max!r}")
-    if not math.isfinite(step) or step <= 0.0:
-        raise DomainError(f"step must be positive, got {step!r}")
+    _check_positive(l_max, "l_max")
+    _check_positive(step, "step")
     grid = np.arange(0.0, l_max + step / 2.0, step)
     return tuple(
         CurveSample(tag, grid, np.array([law(l) for l in grid.tolist()]))

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, IsolectError
-from .lexstat import CoincidenceMatrix, coincidence_from_distance, distance_matrix
+from .lexstat import CoincidenceMatrix, _check_length, coincidence_from_distance, distance_matrix
 
 __all__ = [
     "ChainNode",
@@ -37,13 +37,6 @@ __all__ = [
 ]
 
 _VARIANTS = (None, "max_chain", "deep_point", "parametrized")
-
-
-def _check_length(value: float, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise DomainError(f"{what} must be finite and >= 0, got {value!r}")
-    return value
 
 
 def _node_repr(node) -> str:

@@ -27,18 +27,40 @@ __all__ = [
 ]
 
 
-def distance_from_coincidence(c: float) -> float:
-    """Convert a coincidence percentage to a distance in swadesh units."""
+def _check_coincidence(c: float) -> float:
     if not math.isfinite(c) or c <= 0.0 or c > 100.0:
         raise DomainError(f"coincidence must lie on (0, 100], got {c!r}")
-    return 100.0 * math.log(100.0 / c)
+    return c
+
+
+def _check_length(value: float, what: str) -> float:
+    """``value`` as a float, if it is a finite length >= 0."""
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise DomainError(f"{what} must be finite and >= 0, got {value!r}")
+    return value
+
+
+def _check_positive(value: float, what: str) -> None:
+    if not math.isfinite(value) or value <= 0.0:
+        raise DomainError(f"{what} must be positive, got {value!r}")
+
+
+def _check_integer(value, what: str) -> int:
+    """``value`` as an int, if it is an integer (a numpy one too) and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def distance_from_coincidence(c: float) -> float:
+    """Convert a coincidence percentage to a distance in swadesh units."""
+    return 100.0 * math.log(100.0 / _check_coincidence(c))
 
 
 def coincidence_from_distance(l: float) -> float:
     """Convert a swadesh distance back to a coincidence percentage."""
-    if not math.isfinite(l) or l < 0.0:
-        raise DomainError(f"swadesh distance must be finite and >= 0, got {l!r}")
-    return 100.0 * math.exp(-l / 100.0)
+    return 100.0 * math.exp(-_check_length(l, "swadesh distance") / 100.0)
 
 
 def _check_labels(labels) -> tuple:
@@ -146,12 +168,10 @@ class CoincidenceMatrix:
         labels = _check_labels(self.labels)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", _symmetric_array(labels, self.values))
-        size = self.list_size
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-            raise DomainError(f"list_size must be an integer, got {size!r}")
+        size = _check_integer(self.list_size, "list_size")
         if size <= 0:
-            raise DomainError(f"list_size must be positive, got {size!r}")
-        object.__setattr__(self, "list_size", int(size))
+            raise DomainError(f"list_size must be positive, got {self.list_size!r}")
+        object.__setattr__(self, "list_size", size)
 
     @property
     def k(self) -> int:
@@ -207,8 +227,9 @@ class CognacyTable:
     The table is complete: ``class_ids`` holds a non-negative id for every
     (language, slot), in the integer dtype it was given (other input becomes
     int64), and equal ids in a slot column mean a shared cognate class.
-    ``borrowed`` flags loanword entries. Labels must be ones the files can
-    carry (``_check_labels``, ``_check_writable``). Equality and hash are identity
+    ``borrowed`` flags loanword entries; a bool array is kept as given, so it
+    may be a broadcast view. Labels must be ones the files can carry
+    (``_check_labels``, ``_check_writable``). Equality and hash are identity
     (``eq=False``), since ``==`` on the array fields would raise.
     """
 
@@ -225,7 +246,7 @@ class CognacyTable:
         _check_writable(slots, "slot", "\t")
         ids = np.asarray(self.class_ids)
         ids = np.ascontiguousarray(ids, dtype=ids.dtype if ids.dtype.kind in "iu" else np.int64)
-        flags = np.ascontiguousarray(self.borrowed, dtype=bool)
+        flags = np.asarray(self.borrowed, dtype=bool)
         shape = (len(languages), len(slots))
         if ids.shape != shape or flags.shape != shape:
             raise InputFormatError(
@@ -243,46 +264,6 @@ class CognacyTable:
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "class_ids", ids)
         object.__setattr__(self, "borrowed", flags)
-
-    @classmethod
-    def from_rows(cls, rows) -> "CognacyTable":
-        """Build a table from (language, slot, class_token, borrowed) rows.
-
-        Languages and slots keep first-appearance order; class tokens are
-        opaque and compared by equality within each slot. A missing or
-        duplicate row raises an ``InputFormatError`` that names it.
-        """
-        languages: list = []
-        slots: list = []
-        lang_index: dict = {}
-        slot_index: dict = {}
-        entries: dict = {}
-        for language, slot, token, borrowed in rows:
-            key = (language, slot)
-            if key in entries:
-                raise InputFormatError(
-                    f"duplicate cognacy row for language {language!r}, slot {slot!r}"
-                )
-            if language not in lang_index:
-                lang_index[language] = len(languages)
-                languages.append(language)
-            if slot not in slot_index:
-                slot_index[slot] = len(slots)
-                slots.append(slot)
-            entries[key] = (token, bool(borrowed))
-        ids = np.empty((len(languages), len(slots)), dtype=np.int64)
-        flags = np.empty((len(languages), len(slots)), dtype=bool)
-        for j, slot in enumerate(slots):
-            token_ids: dict = {}
-            for i, language in enumerate(languages):
-                try:
-                    token, flags[i, j] = entries[language, slot]
-                except KeyError:
-                    raise InputFormatError(
-                        f"no row for language {language!r}, slot {slot!r}"
-                    ) from None
-                ids[i, j] = token_ids.setdefault(token, len(token_ids))
-        return cls(tuple(languages), tuple(slots), ids, flags)
 
     @property
     def list_size(self) -> int:
@@ -351,9 +332,7 @@ class BorrowingAdjustment:
 
 def adjust_coincidence_for_borrowings(c: float, adj: BorrowingAdjustment) -> float:
     """Rescale one coincidence value to the borrowing-excluded list."""
-    if not math.isfinite(c) or c <= 0.0 or c > 100.0:
-        raise DomainError(f"coincidence must lie on (0, 100], got {c!r}")
-    adjusted = c * adj.n0 / (adj.n0 - adj.n3)
+    adjusted = _check_coincidence(c) * adj.n0 / (adj.n0 - adj.n3)
     if adjusted > 100.0:
         raise DomainError(
             f"adjusted coincidence {adjusted:.6f} exceeds 100; "

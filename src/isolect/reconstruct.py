@@ -55,7 +55,7 @@ from .dendrogram import (
     root_variants,
 )
 from .errors import DomainError
-from .lexstat import CoincidenceMatrix, distance_matrix
+from .lexstat import CoincidenceMatrix, _check_length, distance_matrix
 
 __all__ = [
     "JoinStep",
@@ -81,8 +81,7 @@ class TwoLanguageFamily:
     total: float
 
     def __post_init__(self):
-        if not math.isfinite(self.total) or self.total < 0.0:
-            raise DomainError(f"distance must be finite and >= 0, got {self.total!r}")
+        _check_length(self.total, "distance")
 
     @property
     def max_divergence(self) -> float:
@@ -153,8 +152,7 @@ def three_language_tree(
     or language 2.
     """
     for name, value in (("l12", l12), ("l13", l13), ("l23", l23)):
-        if not math.isfinite(value) or value < 0.0:
-            raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+        _check_length(value, name)
     if l12 > min(l13, l23) + 1e-9:
         raise DomainError(
             f"l12={l12!r} must be the minimal distance (got l13={l13!r}, l23={l23!r})"

@@ -50,7 +50,7 @@ import numpy as np
 from . import _kernels
 from .dendrogram import Dendrogram, Leaf, RootLink, _leaf_positions, _paths, theoretical_matrix
 from .errors import DomainError
-from .lexstat import CognacyTable, _check_labels, _coincidence_from_counts
+from .lexstat import CognacyTable, _check_integer, _check_labels, _coincidence_from_counts
 from .reconstruct import build_dendrogram, redistribute_residuals
 
 __all__ = [
@@ -82,9 +82,7 @@ class SimulationConfig:
         _check_labels(self.tree.leaves())
         for name, least in (("slots", 1), ("replicates", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            if value < least:
+            if _check_integer(value, name) < least:
                 raise DomainError(f"{name} must be >= {least}, got {value!r}")
             object.__setattr__(self, name, int(value))
 
@@ -173,7 +171,7 @@ def simulate_cognacy(cfg: SimulationConfig, replicate: int = 0) -> CognacyTable:
     languages, classes = _replicate_classes(cfg, replicate)
     width = len(str(cfg.slots - 1))
     slots = tuple(f"s{j:0{width}d}" for j in range(cfg.slots))
-    return CognacyTable(languages, slots, classes, np.zeros_like(classes, dtype=bool))
+    return CognacyTable(languages, slots, classes, np.broadcast_to(False, classes.shape))
 
 
 @dataclass(frozen=True)

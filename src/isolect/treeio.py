@@ -12,7 +12,10 @@ The writer streams one row at a time.
 
 Cognacy files: tab-separated with a required header row
 ``language<TAB>slot<TAB>class<TAB>borrowed`` and 0/1 borrowed flags. Every
-language has one row for every slot.
+language has one row for every slot. The reader codes each row as it reads
+it (the first-appearance indexes of its language, slot and class token, and
+its flag), so beside the text and its lines it holds four numbers a row; a
+read table's class ids are those token indexes, shared across the file.
 
 A matrix or table whose labels these files could not read back (see
 ``lexstat._check_labels``) is rejected when it is built. Both parsers skip
@@ -174,7 +177,8 @@ def write_coincidence_matrix(m: CoincidenceMatrix, path) -> None:
 
 def parse_cognacy_table(text: str, source: str = "<string>") -> CognacyTable:
     header_seen = False
-    rows = []
+    # per row: the first-appearance codes of its language, slot and class token, and its flag
+    codes, columns, flags = ({}, {}, {}), ([], [], []), bytearray()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -192,21 +196,43 @@ def parse_cognacy_table(text: str, source: str = "<string>") -> CognacyTable:
             raise InputFormatError(
                 f"{source}, line {lineno}: expected 4 tab-separated fields, got {len(fields)}"
             )
-        language, slot, token, flag = (f.strip() for f in fields)
-        for name, value in (("language", language), ("slot", slot), ("class", token)):
-            if not value:
-                raise InputFormatError(f"{source}, line {lineno}: empty {name} field")
+        *values, flag = map(str.strip, fields)
+        if "" in values:
+            name = ("language", "slot", "class")[values.index("")]
+            raise InputFormatError(f"{source}, line {lineno}: empty {name} field")
         if flag not in ("0", "1"):
             raise InputFormatError(
                 f"{source}, line {lineno}: borrowed flag must be 0 or 1, got {flag!r}"
             )
-        rows.append((language, slot, token, flag == "1"))
+        for value, code, column in zip(values, codes, columns):
+            column.append(code.setdefault(value, len(code)))
+        flags.append(flag == "1")
     if not header_seen:
         raise InputFormatError(f"{source}: missing cognacy header row")
-    if not rows:
+    if not flags:
         raise InputFormatError(f"{source}: cognacy table has no data rows")
+    # cells are numbered slot by slot; nothing of the table's size exists before each is filled once
+    languages, slots = tuple(codes[0]), tuple(codes[1])
+    k, n = len(languages), len(slots)
+    language, slot = np.array(columns[0]), np.array(columns[1])
+    cells = slot * k + language
+    order = np.argsort(cells, kind="stable")  # a repeated cell's rows stay in file order
+    cells = cells[order]
+    repeats = order[1:][cells[1:] == cells[:-1]]
+    if repeats.size:
+        r = repeats.min()
+        raise InputFormatError(
+            f"{source}: duplicate cognacy row for language {languages[language[r]]!r}, "
+            f"slot {slots[slot[r]]!r}"
+        )
+    if len(cells) < k * n:  # the sorted cells run 0, 1, ... up to the first gap
+        j, i = divmod(int(np.argmax(np.append(cells, -1) != np.arange(len(cells) + 1))), k)
+        raise InputFormatError(f"{source}: no row for language {languages[i]!r}, slot {slots[j]!r}")
+    # a class id is its token's index in the whole file: ids count within a slot only
+    ids, borrowed = np.empty((k, n), np.int64), np.empty((k, n), bool)
+    ids[language, slot], borrowed[language, slot] = columns[2], np.frombuffer(flags, bool)
     try:
-        return CognacyTable.from_rows(rows)
+        return CognacyTable(languages, slots, ids, borrowed)
     except (DomainError, InputFormatError) as exc:
         raise InputFormatError(f"{source}: {exc}") from None
 
@@ -265,8 +291,26 @@ def _field(data: dict, key: str, source: str, what: str, convert=lambda value: v
         return convert(data[key])
     except KeyError:
         raise InputFormatError(f"{source}: {what} is missing key {key!r}") from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputFormatError(f"{source}: {what} has bad {key!r} value {data[key]!r}") from None
+
+
+def _number(value) -> float:
+    """A JSON number as a float: a bool or a numeric string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
+    return float(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError
+    return value
+
+
+def _version(value) -> None:
+    if type(value) is not int or value != 1:
+        raise ValueError
 
 
 def _node_from_dict(data: dict, source: str):
@@ -274,17 +318,17 @@ def _node_from_dict(data: dict, source: str):
         raise InputFormatError(f"{source}: tree node must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind == "leaf":
-        return Leaf(_field(data, "label", source, "leaf", str))
+        return Leaf(_field(data, "label", source, "leaf", _string))
     if kind == "chain":
         what = f"chain {data.get('id')!r}"
         return ChainNode(
-            id=_field(data, "id", source, what, str),
-            width=_field(data, "width", source, what, float),
+            id=_field(data, "id", source, what, _string),
+            width=_field(data, "width", source, what, _number),
             left=_node_from_dict(_field(data, "left", source, what), source),
             right=_node_from_dict(_field(data, "right", source, what), source),
-            left_edge=_field(data, "left_edge", source, what, float),
-            right_edge=_field(data, "right_edge", source, what, float),
-            attach_side=_field(data, "attach_side", source, what, str),
+            left_edge=_field(data, "left_edge", source, what, _number),
+            right_edge=_field(data, "right_edge", source, what, _number),
+            attach_side=_field(data, "attach_side", source, what, _string),
         )
     raise InputFormatError(f"{source}: unknown node kind {kind!r}")
 
@@ -292,6 +336,7 @@ def _node_from_dict(data: dict, source: str):
 def dendrogram_from_dict(data: dict, source: str = "<dict>") -> Dendrogram:
     if not isinstance(data, dict) or data.get("format") != "isolect-dendrogram":
         raise InputFormatError(f"{source}: not an isolect dendrogram document")
+    _field(data, "version", source, "document", _version)
     root = _field(data, "root", source, "document")
     try:
         if isinstance(root, dict) and root.get("kind") == "root_link":
@@ -299,9 +344,9 @@ def dendrogram_from_dict(data: dict, source: str = "<dict>") -> Dendrogram:
             variant = root.get("variant")
             fraction = None
             if variant == "parametrized" or root.get("fraction") is not None:
-                fraction = _field(root, "fraction", source, what, float)
+                fraction = _field(root, "fraction", source, what, _number)
             link = RootLink(
-                length=_field(root, "length", source, what, float),
+                length=_field(root, "length", source, what, _number),
                 left=_node_from_dict(_field(root, "left", source, what), source),
                 right=_node_from_dict(_field(root, "right", source, what), source),
                 variant=variant,

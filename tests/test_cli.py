@@ -484,6 +484,35 @@ def malformed_tree_document(tree, case):
     if case == "comment-label":
         doc["root"]["right"]["label"] = "#x"
         return doc, "language label '#x' cannot be written to a file"
+    # lengths and fractions are JSON numbers, ids and labels JSON strings: none
+    # of these is converted, and saving the tree would write another document
+    if case == "bool-width":
+        doc["root"]["left"]["width"] = True
+        return doc, "chain 'n1' has bad 'width' value True"
+    if case == "string-edge":
+        doc["root"]["left"]["left_edge"] = "1e1"
+        return doc, "chain 'n1' has bad 'left_edge' value '1e1'"
+    if case == "huge-integer-edge":
+        doc["root"]["left"]["right_edge"] = 10**400
+        return doc, f"chain 'n1' has bad 'right_edge' value {10**400}"
+    if case == "string-length":
+        doc["root"]["length"] = "2.5"
+        return doc, "root link has bad 'length' value '2.5'"
+    if case == "bool-fraction":
+        doc["root"].update(variant="parametrized", fraction=False)
+        return doc, "root link has bad 'fraction' value False"
+    if case == "numeric-id":
+        doc["root"]["left"]["id"] = 7
+        return doc, "chain 7 has bad 'id' value 7"
+    if case == "numeric-label":
+        doc["root"]["right"]["label"] = 12
+        return doc, "leaf has bad 'label' value 12"
+    if case in ("version-2", "version-true", "version-float"):
+        doc["version"] = {"version-2": 2, "version-true": True, "version-float": 1.0}[case]
+        return doc, f"document has bad 'version' value {doc['version']!r}"
+    if case == "no-version":
+        del doc["version"]
+        return doc, "document is missing key 'version'"
     if case == "duplicate-chain-ids":
         leaves = {"left": {"kind": "leaf", "label": "3"}, "right": {"kind": "leaf", "label": "4"}}
         doc["root"]["right"] = {**doc["root"]["left"], **leaves}
@@ -504,6 +533,17 @@ class TestMalformedTree:
             "duplicate-chain-ids",
             "control-character-label",
             "comment-label",
+            "bool-width",
+            "string-edge",
+            "huge-integer-edge",
+            "string-length",
+            "bool-fraction",
+            "numeric-id",
+            "numeric-label",
+            "version-2",
+            "version-true",
+            "version-float",
+            "no-version",
         ],
     )
     @pytest.mark.parametrize("command", ["render", "simulate"])

@@ -97,6 +97,14 @@ class TestSimulateCognacy:
         assert np.array_equal(table.class_ids[0], table.class_ids[1])
         assert coincidence_from_cognacy(table).value("x", "y") == 100.0
 
+    def test_borrowed_is_one_flag_broadcast(self):
+        # the simulator flags nothing: a (k, slots) mask of False once took
+        # as much memory as the tag matrix
+        table = simulate_cognacy(SimulationConfig(tree=nested_tree(), slots=300, seed=3))
+        assert table.borrowed.shape == table.class_ids.shape
+        assert table.borrowed.strides == (0, 0) and not table.borrowed.any()
+        assert not table.borrowed.flags.writeable
+
     def test_determinism_same_seed(self):
         cfg = SimulationConfig(tree=two_leaf_tree(40.0), slots=2000, seed=99)
         a = simulate_cognacy(cfg)

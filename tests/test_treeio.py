@@ -353,6 +353,68 @@ class TestCognacyFormat:
             parse_cognacy_table(text, source="t.tsv")
         assert str(raised.value) == "t.tsv: no row for language 'y', slot 's1'"
 
+    def test_missing_slots_error_lists_slots(self):
+        # a table is complete: the gap is refused when the table is read
+        text = "language\tslot\tclass\tborrowed\nx\ts0\tw\t0\nx\ts1\tw\t0\ny\ts0\tw\t0\n"
+        with pytest.raises(InputFormatError, match="s1"):
+            parse_cognacy_table(text)
+
+    def test_duplicate_row_rejected(self):
+        text = "language\tslot\tclass\tborrowed\nx\ts0\tw\t0\nx\ts0\tv\t0\n"
+        with pytest.raises(InputFormatError, match="duplicate"):
+            parse_cognacy_table(text)
+
+    @pytest.mark.parametrize("rows, message", [
+        # an empty field on an earlier line beats a wrong field count on a later one
+        (["x\t\tw\t0", "x\ts1\tw"], "t.tsv, line 2: empty slot field"),
+        # a wrong field count beats a bad flag, on its line or a later one
+        (["x\ts0\tw\t2\t1", "x\ts1\tw\t2"],
+         "t.tsv, line 2: expected 4 tab-separated fields, got 5"),
+        (["x\ts0\tw\t0", "x\ts1\tw", "x\ts2\tw\t2"],
+         "t.tsv, line 3: expected 4 tab-separated fields, got 3"),
+        # a duplicate row beats a missing row
+        (["x\ts0\tw\t0", "y\ts1\tw\t0", "x\ts0\tv\t0"],
+         "t.tsv: duplicate cognacy row for language 'x', slot 's0'"),
+        # the duplicate named is the first repeat in file order, not in table order
+        (["x\ts0\ta\t0", "y\ts0\ta\t0", "y\ts1\ta\t0", "x\ts1\ta\t0",
+          "y\ts1\tb\t0", "x\ts0\tb\t0"],
+         "t.tsv: duplicate cognacy row for language 'y', slot 's1'"),
+        # a missing row beats an unwritable label
+        (["a,b\ts0\tw\t0", "a,b\ts1\tw\t0", "y\ts0\tw\t0"],
+         "t.tsv: no row for language 'y', slot 's1'"),
+        # the gap named is the first in slot order, then in language order,
+        # each in order of first appearance
+        (["z\ts1\tw\t0", "x\ts0\tw\t0", "x\ts1\tw\t0", "y\ts1\tw\t0"],
+         "t.tsv: no row for language 'z', slot 's0'"),
+        (["x\ts0\tw\t0", "y\ts1\tw\t0", "z\ts0\tw\t0"],
+         "t.tsv: no row for language 'y', slot 's0'"),
+    ], ids=["empty-field", "field-count-same-line", "field-count-later-line", "duplicate",
+            "first-duplicate", "missing-row", "first-gap", "gap-by-slot"])
+    def test_error_precedence(self, rows, message):
+        text = "language\tslot\tclass\tborrowed\n" + "".join(f"{row}\n" for row in rows)
+        with pytest.raises(InputFormatError) as raised:
+            parse_cognacy_table(text, source="t.tsv")
+        assert str(raised.value) == message
+
+    def test_reader_memory_is_a_few_times_the_text(self, tmp_path):
+        # one pass codes each field as it is read; one tuple per row and a
+        # dict of entries took the read of this table to 24x the text
+        k, n = 20, 2000
+        ids = np.random.default_rng(6).integers(0, 256, size=(k, n)).astype(np.uint8)
+        table = CognacyTable(tuple(f"L{i:02d}" for i in range(k)),
+                             tuple(f"s{j:04d}" for j in range(n)), ids, np.zeros((k, n), bool))
+        path = tmp_path / "cognacy.tsv"
+        write_cognacy_table(table, path)
+        text = path.read_text()
+        tracemalloc.start()
+        try:
+            again = parse_cognacy_table(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again.class_ids == again.class_ids[0], ids == ids[0])
+        assert peak < 10 * len(text)
+
     def test_table_cut_on_a_line_break_is_rejected(self, borrowing_table, tmp_path):
         # was read as a valid table with missing entries
         path = tmp_path / "cognacy.tsv"
